@@ -139,27 +139,6 @@ def write_stats_csv(path: str, stats: list[CategoryStats],
         fh.write("# percentages computed in full precision, rounded half-even to 2 decimals\n")
 
 
-def read_stats_csv(path: str) -> tuple[list[dict], list[str]]:
-    """Returns (rows as dicts, comment lines without '# ')."""
-    rows: list[dict] = []
-    comments: list[str] = []
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            rows.append(dict(zip(header, cells)))
-    return rows, comments
-
-
 # ---------------------------------------------------------------------------
 # scatter export
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -43,7 +42,6 @@ class IGConfig:
     baseline_mode: str = "pad_embeddings"
     target_class: str | None = None  # None: class predicted for the clean input
     target_space: str = "logit"
-    normalize: bool = False  # kept for experiments; off in every shipped report
 
     def __post_init__(self):
         if self.steps < 1:
@@ -64,7 +62,6 @@ class IGConfig:
             "baseline_mode": self.baseline_mode,
             "target_class": self.target_class or "predicted",
             "target_space": self.target_space,
-            "normalize": self.normalize,
         }
 
 
@@ -135,13 +132,11 @@ ValueAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def path_integral(f: ValueAndGrad, x: np.ndarray, baseline: np.ndarray,
-                  m: int, rule: str, threads: int = 1) -> PathIntegral:
+                  m: int, rule: str) -> PathIntegral:
     """Quadrature core: attributions of ``f`` along the straight path.
 
-    ``f`` maps an embedding array to (scalar output, gradient array).
-    Gradient evaluations are independent; with ``threads > 1`` they run in a
-    pool, but the weighted reduction always happens in step order so the
-    result is bit-identical to the serial one.
+    ``f`` maps an embedding array to (scalar output, gradient array). The
+    weighted gradients are reduced in step order.
     """
     x = np.asarray(x, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
@@ -150,18 +145,9 @@ def path_integral(f: ValueAndGrad, x: np.ndarray, baseline: np.ndarray,
     points = interpolation_points(m, rule)
     diff = x - baseline
 
-    def grad_at(alpha: float) -> np.ndarray:
-        _, g = f(baseline + alpha * diff)
-        return g
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grads = list(pool.map(grad_at, [a for a, _ in points]))
-    else:
-        grads = [grad_at(a) for a, _ in points]
-
     acc = np.zeros_like(x)
-    for k, ((_, w), g) in enumerate(zip(points, grads)):
+    for k, (alpha, w) in enumerate(points):
+        _, g = f(baseline + alpha * diff)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at interpolation step {k}")
         acc += w * g
@@ -223,7 +209,7 @@ def _target_function(weights: ModelWeights, target_index: int,
 
 
 def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
-                         cfg: IGConfig, threads: int = 1) -> SentenceAttribution:
+                         cfg: IGConfig) -> SentenceAttribution:
     """Attribute one tokenized sentence at the embedding layer."""
     ids = list(sentence.token_ids)
     x = embed(weights, ids)
@@ -232,13 +218,9 @@ def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
     target_index = CLASSES.index(target_class)
     baseline = make_baseline(weights, ids, cfg.baseline_mode)
     f = _target_function(weights, target_index, cfg.target_space)
-    result = path_integral(f, x.data, baseline.data, cfg.steps, cfg.rule, threads)
+    result = path_integral(f, x.data, baseline.data, cfg.steps, cfg.rule)
 
     token_scores = [math.fsum(row.tolist()) for row in result.attributions]
-    if cfg.normalize:
-        norm = math.sqrt(math.fsum(s * s for s in token_scores))
-        if norm > 0.0:
-            token_scores = [s / norm for s in token_scores]
     ligas = word_scores(token_scores, sentence.alignment)
     total = math.fsum(token_scores)
     gap = abs(total - (result.output_value - result.baseline_value))

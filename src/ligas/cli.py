@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .analysis import (
     heatmap_render,
@@ -75,8 +74,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def command(name: str, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value settings file; flags override it")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: LIGAS_THREADS or 1)")
         commands[name] = p
         return p
 
@@ -177,19 +174,6 @@ def _apply_config_file(sub: _Parser, values: dict[str, str]) -> None:
     sub.set_defaults(**defaults)
 
 
-def _resolve_threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("LIGAS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise UsageError(f"LIGAS_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -224,8 +208,18 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tokenize_within(sentence, vocab, max_seq_len: int, corpus_path: str):
+    """Tokenize one corpus sentence, rejecting it by id when the encoder
+    cannot take that many tokens."""
+    tokenized = tokenize(sentence.text, vocab)
+    n = len(tokenized.token_ids)
+    if n > max_seq_len:
+        raise DataError(f"{corpus_path}: sentence {sentence.id}: {n} tokens "
+                        f"exceed max_seq_len {max_seq_len}")
+    return tokenized
+
+
 def cmd_gen(args) -> int:
-    _resolve_threads(args)
     digest = config_digest({
         "command": "gen", "category": args.category,
         "pairs": args.pairs, "seed": args.seed,
@@ -244,7 +238,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _resolve_threads(args)
     if args.holdout is not None and not (0.0 < args.holdout < 1.0):
         raise UsageError(f"--holdout must be in (0, 1), got {args.holdout}")
     settings = {
@@ -272,17 +265,18 @@ def cmd_train(args) -> int:
     )
 
     def examples(group):
-        return [(tokenize(s.text, vocab).token_ids, s.gold) for s in group]
+        return [(_tokenize_within(s, vocab, args.max_seq_len, args.corpus).token_ids,
+                 s.gold) for s in group]
 
+    train_examples, test_examples = examples(train_set), examples(test_set)
     weights = init(cfg)
     weights.vocab = vocab
     trained, trace = train(
-        weights, examples(train_set),
+        weights, train_examples,
         TrainConfig(lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed),
     )
     save_weights(trained, args.out)
-    vocab.save(args.out + ".vocab")
-    test_acc = accuracy(trained, examples(test_set)) if test_set else None
+    test_acc = accuracy(trained, test_examples) if test_examples else None
     with open(args.out + ".loss.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# ligas train config_digest={digest}\n")
         fh.write("epoch,mean_loss\n")
@@ -300,7 +294,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    threads = _resolve_threads(args)
     ig_cfg = IGConfig(
         steps=args.steps, rule=args.rule, baseline_mode=args.baseline,
         target_class=args.target_class, target_space=args.target_space,
@@ -309,18 +302,12 @@ def cmd_attribute(args) -> int:
     weights = load_weights(args.weights)
     if weights.vocab is None:
         raise DataError(f"{args.weights}: weight file carries no vocabulary")
-    sentences = read_corpus_tsv(args.corpus)
-
-    def attribute_one(s):
-        tokenized = tokenize(s.text, weights.vocab)
+    records = []
+    for s in read_corpus_tsv(args.corpus):
+        tokenized = _tokenize_within(s, weights.vocab, weights.config.max_seq_len,
+                                     args.corpus)
         attribution = integrated_gradients(weights, tokenized, ig_cfg)
-        return attribution_record(s.id, s.category, s.gold, attribution)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(attribute_one, sentences))
-    else:
-        records = [attribute_one(s) for s in sentences]
+        records.append(attribution_record(s.id, s.category, s.gold, attribution))
 
     header = {"config_digest": digest, **ig_cfg.to_dict()}
     write_attributions_jsonl(args.out, records, header)
@@ -329,7 +316,6 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _resolve_threads(args)
     digest = config_digest({"command": "analyze", "aggregate": args.aggregate})
     comment = f"ligas analyze config_digest={digest}"
     _, records = read_attributions_jsonl(args.attributions)
@@ -405,7 +391,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _resolve_threads(args)
     digest = config_digest({"command": "render", "ids": args.ids})
     _, records = read_attributions_jsonl(args.attributions)
     if args.ids != "all":

@@ -14,7 +14,6 @@ scrambled order, illicitly retained object).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .config import CATEGORIES, stream_rng
@@ -272,37 +271,6 @@ def read_corpus_tsv(path: str) -> list[LabeledSentence]:
     if not header_done:
         raise DataError(f"{path}: missing header line")
     return sentences
-
-
-@dataclass(frozen=True)
-class AttachReport:
-    attached: int
-    without_tree: int
-    orphan_trees: int
-
-
-def attach_trees(sentences: list[LabeledSentence],
-                 trees: dict[str, ParseTree]) -> tuple[list[LabeledSentence], AttachReport]:
-    """Attach parse trees by sentence id, validating leaf/word alignment.
-
-    Sentences without a tree pass through unchanged (downstream tree
-    reports skip them); tree ids with no sentence are merely counted.
-    """
-    out: list[LabeledSentence] = []
-    attached = 0
-    for s in sentences:
-        tree = trees.get(s.id)
-        if tree is None:
-            out.append(s)
-            continue
-        try:
-            align(tree, s.words)
-        except DataError as exc:
-            raise DataError(f"sentence {s.id}: {exc}") from exc
-        out.append(dataclasses.replace(s, tree=tree))
-        attached += 1
-    orphan = len(set(trees) - {s.id for s in sentences})
-    return out, AttachReport(attached, len(sentences) - attached, orphan)
 
 
 def split(corpus: list[LabeledSentence], train_fraction: float,

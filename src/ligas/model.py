@@ -8,7 +8,6 @@ it exposes the logits as a differentiable function of the embedding matrix.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -120,18 +119,6 @@ class ModelWeights:
     @property
     def names(self) -> list[str]:
         return list(self.arrays.keys())
-
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(
-            self.config, {n: a.copy() for n, a in self.arrays.items()}, self.vocab
-        )
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name, arr in self.arrays.items():
-            h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        return h.hexdigest()
 
 
 def init(config: ModelConfig) -> ModelWeights:
@@ -429,6 +416,10 @@ def save_weights(weights: ModelWeights, path: str) -> None:
             fh.write(blob)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def load_weights(path: str) -> ModelWeights:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -447,23 +438,35 @@ def load_weights(path: str) -> ModelWeights:
         cfg = ModelConfig(**header["config"])
         entries = header["tensors"]
         declared = header["payload_bytes"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, UsageError) as exc:
         raise DataError(f"{path}: malformed header: {exc}") from exc
     payload = blob[16 + head_len :]
     if len(payload) != declared:
         raise DataError(
             f"{path}: payload is {len(payload)} bytes, header declares {declared}"
         )
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: malformed header: 'tensors' is not a list")
     arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
-        shape = tuple(entry["shape"])
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(n) for n in entry["shape"])
+                and _is_count(entry.get("offset"))):
+            raise DataError(f"{path}: tensor entry {i} is malformed: it needs a string "
+                            f"'name', a 'shape' list of non-negative integers and a "
+                            f"non-negative integer 'offset'")
+        name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + count * 8
         if end > len(payload):
-            raise DataError(f"{path}: tensor {entry['name']} overruns the payload")
-        arrays[entry["name"]] = (
+            raise DataError(f"{path}: tensor {name} overruns the payload")
+        arrays[name] = (
             np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
         )
-    vocab = Vocabulary(header["vocab"]) if "vocab" in header else None
+    vocab = header.get("vocab")
+    if vocab is not None:
+        if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
+            raise DataError(f"{path}: malformed header: 'vocab' is not a list of strings")
+        vocab = Vocabulary(vocab)
     return ModelWeights(cfg, arrays, vocab)

@@ -53,20 +53,6 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
-    def save(self, path: str) -> None:
-        """Write one token per line; the line number is the id."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for tok in self._tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n").rstrip("\r") for line in fh]
-        while tokens and tokens[-1] == "":
-            tokens.pop()
-        return cls(tokens)
-
 
 @dataclass(frozen=True)
 class TokenizedSentence:

@@ -43,7 +43,6 @@ def test_config_defaults():
     assert cfg.baseline_mode == "pad_embeddings"
     assert cfg.target_class is None
     assert cfg.target_space == "logit"
-    assert cfg.normalize is False
 
 
 @pytest.mark.parametrize(
@@ -241,20 +240,6 @@ def test_nonfinite_gradient_names_the_step():
         path_integral(g, x, zero, 4, "right")
 
 
-def test_threaded_reduction_is_bit_identical_to_serial():
-    def f(e):
-        return float(np.sin(e).sum()), np.cos(e)
-
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, 5))
-    baseline = rng.normal(size=(6, 5)) * 0.1
-    serial = path_integral(f, x, baseline, 33, "trapezoid", threads=1)
-    pooled = path_integral(f, x, baseline, 33, "trapezoid", threads=4)
-    assert np.array_equal(serial.attributions, pooled.attributions)
-    assert serial.output_value == pooled.output_value
-    assert serial.baseline_value == pooled.baseline_value
-
-
 def test_completeness_gap_is_an_absolute_residual():
     pi = PathIntegral(np.array([[1.0, 2.0]]), output_value=10.0, baseline_value=6.0)
     assert pi.total == 3.0
@@ -309,12 +294,12 @@ def test_sentence_attribution_identities(trained_model):
     assert att.output_value == pred.logits[CLASSES.index(att.target_class)]
 
 
-def test_attribution_is_deterministic_and_thread_invariant(trained_model):
+def test_attribution_is_deterministic(trained_model):
     weights, vocab = trained_model
     sent = tokenize("the dog barks loudly .", vocab)
     cfg = IGConfig(steps=24)
     first = integrated_gradients(weights, sent, cfg)
-    second = integrated_gradients(weights, sent, cfg, threads=4)
+    second = integrated_gradients(weights, sent, cfg)
     assert first.word_ligas == second.word_ligas
     assert first.sentence_ligas == second.sentence_ligas
     assert first.completeness_gap == second.completeness_gap
@@ -349,14 +334,6 @@ def test_probability_space_targets_the_probability(trained_model):
     idx = CLASSES.index(att.target_class)
     assert att.output_value == att.prediction.probs[idx]
     assert 0.0 <= att.output_value <= 1.0
-
-
-def test_normalized_scores_have_unit_length(trained_model):
-    weights, vocab = trained_model
-    sent = tokenize("alice chased the ball .", vocab)
-    att = integrated_gradients(weights, sent, IGConfig(steps=8, normalize=True))
-    norm = math.sqrt(math.fsum(s * s for s in att.token_scores))
-    assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_pad_interior_means_no_attribution(trained_model):

@@ -55,7 +55,6 @@ def test_pipeline_produces_every_artifact(pipeline):
         pipeline["data"] / "corpus.tsv",
         pipeline["data"] / "trees.tsv",
         pipeline["weights"],
-        pipeline["weights"].with_suffix(".bin.vocab"),
         pipeline["weights"].with_suffix(".bin.loss.csv"),
         pipeline["attributions"],
         pipeline["out"] / "stats.csv",
@@ -70,6 +69,8 @@ def test_pipeline_produces_every_artifact(pipeline):
     for path in produced:
         assert path.exists(), path
         assert path.stat().st_size > 0, path
+    # the weight header carries the vocabulary; no side file is written
+    assert not pipeline["weights"].with_suffix(".bin.vocab").exists()
 
 
 def test_every_text_artifact_declares_a_digest(pipeline):
@@ -155,21 +156,6 @@ def test_gen_is_byte_reproducible(pipeline, tmp_path):
         assert (again / name).read_bytes() == (pipeline["data"] / name).read_bytes()
 
 
-def test_threads_do_not_change_attribution_bytes(pipeline, tmp_path, monkeypatch):
-    flagged = tmp_path / "flagged.jsonl"
-    assert main(["attribute", "--corpus", str(pipeline["data"] / "corpus.tsv"),
-                 "--weights", str(pipeline["weights"]), "--steps", "4",
-                 "--threads", "3", "--out", str(flagged)]) == 0
-    assert flagged.read_bytes() == pipeline["attributions"].read_bytes()
-
-    monkeypatch.setenv("LIGAS_THREADS", "2")
-    via_env = tmp_path / "via_env.jsonl"
-    assert main(["attribute", "--corpus", str(pipeline["data"] / "corpus.tsv"),
-                 "--weights", str(pipeline["weights"]), "--steps", "4",
-                 "--out", str(via_env)]) == 0
-    assert via_env.read_bytes() == pipeline["attributions"].read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -218,11 +204,41 @@ def test_training_divergence_is_a_numeric_error(pipeline, tmp_path, capsys):
     assert "numeric error:" in capsys.readouterr().err
 
 
-def test_bad_threads_values_are_usage_errors(tmp_path, monkeypatch, capsys):
-    assert main(["gen", "--threads", "0", "--out", str(tmp_path / "a")]) == 1
-    monkeypatch.setenv("LIGAS_THREADS", "many")
-    assert main(["gen", "--out", str(tmp_path / "b")]) == 1
-    assert "LIGAS_THREADS" in capsys.readouterr().err
+def test_bad_threads_values_are_usage_errors(tmp_path, capsys):
+    # every command runs serially; --threads is not an option of any of them
+    for value in ("2", "0"):
+        assert main(["gen", "--threads", value, "--out", str(tmp_path / "a")]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_over_length_sentence_in_attribute_names_it(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "long.tsv"
+    corpus.write_text("id\tcategory\tlabel\tsentence\n"
+                      "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
+                      encoding="utf-8")
+    code = main(["attribute", "--corpus", str(corpus),
+                 "--weights", str(pipeline["weights"]), "--steps", "4",
+                 "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: sentence SVA-9999-LA: " in err
+    assert "exceed max_seq_len 16" in err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_over_length_sentence_in_train_names_it(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "long.tsv"
+    corpus.write_text((pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
+                      + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
+                      encoding="utf-8")
+    code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "w.bin"),
+                 *TINY_TRAIN])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: sentence SVA-9999-LA: " in err
+    assert "exceed max_seq_len 16" in err
+    assert not (tmp_path / "w.bin").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,7 @@ def test_flags_override_the_config_file(tmp_path):
     "body,fragment",
     [
         ("bogus = 1\n", "unknown config file keys: bogus"),
+        ("threads = 2\n", "unknown config file keys: threads"),
         ("pairs = lots\n", "expected an integer"),
         ("category = NOPE\n", "not one of"),
         ("no equals sign\n", None),  # data error from the parser itself
@@ -313,3 +330,15 @@ def test_analyze_warns_on_sentences_without_trees(pipeline, tmp_path, capsys):
     assert code == 0
     assert "no tree" in capsys.readouterr().err
     assert (out / "patterns.csv").exists()
+
+
+def test_analyze_rejects_misaligned_trees(pipeline, tmp_path, capsys):
+    wrong = tmp_path / "wrong_trees.tsv"
+    lines = (pipeline["data"] / "trees.tsv").read_text(encoding="utf-8").splitlines()
+    lines = [l if not l.startswith("CIA-0000-LA\t")
+             else "CIA-0000-LA\t(S (NN nobody) (VBD moved))" for l in lines]
+    wrong.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["analyze", "--attributions", str(pipeline["attributions"]),
+                 "--trees", str(wrong), "--out", str(tmp_path / "wrong")])
+    assert code == 2
+    assert "sentence CIA-0000-LA:" in capsys.readouterr().err

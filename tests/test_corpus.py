@@ -1,12 +1,10 @@
-"""Synthetic pair generator, corpus TSV, tree attachment, and splitting."""
+"""Synthetic pair generator, corpus TSV, and splitting."""
 
 import pytest
 
 from ligas.config import CATEGORIES
 from ligas.corpus import (
-    AttachReport,
     LabeledSentence,
-    attach_trees,
     generate_all,
     generate_synthetic,
     read_corpus_tsv,
@@ -177,30 +175,6 @@ def test_corpus_tsv_errors_name_the_line(tmp_path, body, message):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_corpus_tsv(str(path))
-
-
-# ---------------------------------------------------------------------------
-# tree attachment
-# ---------------------------------------------------------------------------
-
-
-def test_attach_trees_by_id():
-    corpus = generate_synthetic("CIA", 3, seed=1)
-    bare = [LabeledSentence(s.id, s.category, s.gold, s.text) for s in corpus]
-    trees = {s.id: s.tree for s in corpus[:4]}
-    trees["GHOST-0000-LA"] = corpus[0].tree
-    attached, report = attach_trees(bare, trees)
-    assert report == AttachReport(attached=4, without_tree=2, orphan_trees=1)
-    assert [s.tree is not None for s in attached] == [True] * 4 + [False] * 2
-    assert [s.id for s in attached] == [s.id for s in bare]
-
-
-def test_attach_trees_rejects_misaligned_trees():
-    corpus = generate_synthetic("CIA", 2, seed=1)
-    bare = [LabeledSentence(s.id, s.category, s.gold, s.text) for s in corpus]
-    wrong = {bare[0].id: parse_bracketed("(S (NN nobody) (VBD moved))")}
-    with pytest.raises(DataError, match=f"sentence {bare[0].id}:"):
-        attach_trees(bare, wrong)
 
 
 # ---------------------------------------------------------------------------

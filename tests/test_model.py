@@ -1,5 +1,9 @@
 """Encoder behavior: init, forward paths, training, weight container."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -190,7 +194,9 @@ def test_training_is_bit_deterministic():
     hyper = TrainConfig(lr=1e-3, epochs=3, batch=3, seed=9)
     a, _ = train(init(SMALL), corpus, hyper)
     b, _ = train(init(SMALL), corpus, hyper)
-    assert a.checksum() == b.checksum()
+    assert a.names == b.names
+    for name in a.names:
+        assert np.array_equal(a.arrays[name], b.arrays[name])
 
 
 def test_training_validates_corpus():
@@ -220,7 +226,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     save_weights(weights, path)
     loaded = load_weights(path)
     assert loaded.config == weights.config
-    assert loaded.checksum() == weights.checksum()
+    assert loaded.names == weights.names
     for name in weights.names:
         assert np.array_equal(loaded.arrays[name], weights.arrays[name])
     assert loaded.vocab is not None
@@ -247,6 +253,41 @@ def test_load_rejects_truncation(tmp_path):
     clipped.write_bytes(blob[: len(blob) - 512])
     with pytest.raises(DataError, match="payload|truncated"):
         load_weights(str(clipped))
+
+
+def _with_edited_header(tmp_path, edit) -> str:
+    """Save small weights, apply ``edit`` to the parsed JSON header, and
+    write the result back around the unchanged payload."""
+    path = tmp_path / "w.bin"
+    weights = init(SMALL)
+    weights.vocab = build_vocab(["the dog barks ."], max_size=40)
+    save_weights(weights, str(path))
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    broken = tmp_path / "broken.bin"
+    broken.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head
+                       + blob[16 + head_len :])
+    return str(broken)
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "offset"])
+def test_load_rejects_a_tensor_entry_without_a_field(tmp_path, key):
+    path = _with_edited_header(tmp_path, lambda h: h["tensors"][1].pop(key))
+    with pytest.raises(DataError, match=rf"{re.escape(path)}: tensor entry 1"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda h: h["config"].update(d_model=0), "d_model must be positive"),
+    (lambda h: h.update(vocab=5), "'vocab' is not a list of strings"),
+], ids=["config-value", "vocab-type"])
+def test_load_rejects_bad_header_values(tmp_path, edit, fragment):
+    path = _with_edited_header(tmp_path, edit)
+    with pytest.raises(DataError, match=rf"{re.escape(path)}: malformed header: .*{fragment}"):
+        load_weights(path)
 
 
 def test_weights_container_validates_shapes():

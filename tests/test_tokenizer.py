@@ -88,15 +88,6 @@ def test_build_vocab_is_frequency_then_lexicographic():
     assert whole_words == ["bb", "aa", "cc"]  # freq desc, then lexicographic
 
 
-def test_vocab_save_load_round_trip(tmp_path):
-    vocab = build_vocab(["the dog barks loudly .", "what did kim buy ?"], max_size=96)
-    path = tmp_path / "vocab.txt"
-    vocab.save(str(path))
-    loaded = Vocabulary.load(str(path))
-    assert loaded.tokens == vocab.tokens
-    assert len(loaded) == len(vocab)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=10),
                 min_size=1, max_size=8))
