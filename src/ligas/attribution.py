@@ -136,7 +136,10 @@ def path_integral(f: ValueAndGrad, x: np.ndarray, baseline: np.ndarray,
     """Quadrature core: attributions of ``f`` along the straight path.
 
     ``f`` maps an embedding array to (scalar output, gradient array). The
-    weighted gradients are reduced in step order.
+    weighted gradients are reduced in step order. ``f`` runs once per
+    interpolation point, with the alpha = 1 point evaluated at ``x`` itself;
+    F(x) and F(x') are read from the grid where the rule puts them on it,
+    so only an endpoint the rule leaves out costs one more evaluation.
     """
     x = np.asarray(x, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
@@ -146,13 +149,14 @@ def path_integral(f: ValueAndGrad, x: np.ndarray, baseline: np.ndarray,
     diff = x - baseline
 
     acc = np.zeros_like(x)
+    value_at = {}
     for k, (alpha, w) in enumerate(points):
-        _, g = f(baseline + alpha * diff)
+        value_at[alpha], g = f(x if alpha == 1.0 else baseline + alpha * diff)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at interpolation step {k}")
         acc += w * g
-    out_value, _ = f(x)
-    base_value, _ = f(baseline)
+    out_value = value_at[1.0] if 1.0 in value_at else f(x)[0]
+    base_value = value_at[0.0] if 0.0 in value_at else f(baseline)[0]
     return PathIntegral(diff * acc, out_value, base_value)
 
 
@@ -213,7 +217,7 @@ def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
     """Attribute one tokenized sentence at the embedding layer."""
     ids = list(sentence.token_ids)
     x = embed(weights, ids)
-    prediction = forward_from_embeddings(weights, x)
+    prediction = forward_from_embeddings(weights, Tensor(x.data))  # records no graph
     target_class = cfg.target_class or prediction.predicted_class
     target_index = CLASSES.index(target_class)
     baseline = make_baseline(weights, ids, cfg.baseline_mode)
@@ -272,7 +276,11 @@ def write_attributions_jsonl(path: str, records: Iterable[dict],
 
 
 def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
-    """Returns (header, records); the header is {} when absent."""
+    """Returns (header, records); the header is {} when absent.
+
+    A header that declares a ``records`` count must match the records read,
+    so a file cut short at a line boundary is rejected.
+    """
     header: dict = {}
     records: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -297,4 +305,7 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
             if missing:
                 raise DataError(f"{path}:{line_no}: record is missing {missing}")
             records.append(obj)
+    if "records" in header and header["records"] != len(records):
+        raise DataError(f"{path}: header declares {header['records']!r} records, "
+                        f"the file holds {len(records)}")
     return header, records

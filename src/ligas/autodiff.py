@@ -1,18 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a numpy array. Primitive operations record
-themselves on a :class:`Tape` (one per evaluation) whenever any operand
-requires gradients; :func:`backward` replays the tape in reverse to fill
-``grad`` on every participating leaf.
+A :class:`Tensor` wraps a numpy array. Primitive operations record, on
+their output, the operands, the backward rule and a creation sequence
+number whenever any operand requires gradients; :func:`backward` runs the
+rules reachable from a scalar output in reverse creation order to fill
+``grad`` on every participating leaf, then drops the recorded links, so
+each evaluation's graph is freed by reference counting.
 
 Design constraints kept deliberately tight so every backward rule stays
 auditable: all arithmetic is float64, broadcasting is limited to
-scalar-times-tensor and row-bias addition, tapes are single use, and no
-graph is ever reused between evaluations.
+scalar-times-tensor and row-bias addition, a graph is consumed by its
+first backward pass, and no graph is ever reused between evaluations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,21 +25,26 @@ from .errors import NumericError, ShapeError
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 
+_sequence = itertools.count()
+# what a recorded output holds once a backward pass has run through it
+_CONSUMED = (-1, None, ())
+
 
 class Tensor:
-    """Shape-carrying float64 array that can participate in a tape.
+    """Shape-carrying float64 array that can take part in a recorded graph.
 
     ``grad`` is ``None`` until a backward pass accumulates into it; a leaf
     that never receives gradient reads as zero via :func:`grad_of`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.tape: Tape | None = None
+        # (sequence number, backward rule, operands) of a recorded output
+        self._node: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,87 +72,54 @@ def grad_of(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-class Tape:
-    """Execution-ordered record of primitive operations for one evaluation.
-
-    Entries append in forward execution order, which is a valid topological
-    order by construction. Independently built subgraphs carry separate
-    tapes until an operation joins them; the join merges the tapes
-    (union-find), which keeps topological order because two tapes can have
-    no cross-edges before the op that merges them. A tape is consumed by
-    its first backward pass and must then be discarded.
-    """
-
-    __slots__ = ("entries", "consumed", "_parent")
-
-    def __init__(self):
-        self.entries: list[tuple[Tensor, object]] = []
-        self.consumed = False
-        self._parent: "Tape | None" = None
-
-    def find(self) -> "Tape":
-        root = self
-        while root._parent is not None:
-            root = root._parent
-        node = self
-        while node._parent is not None:
-            node._parent, node = root, node._parent
-        return root
-
-
 def _bind(out: Tensor, backward_fn, *operands: Tensor) -> Tensor:
-    """Attach ``out`` to the operands' (merged) tape and record the rule.
+    """Record on ``out`` its operands and backward rule.
 
     No operand requiring gradients means nothing is recorded (fast
     inference path).
     """
-    tape: Tape | None = None
-    track = False
     for op in operands:
         if op.requires_grad:
-            track = True
-        t = op.tape.find() if op.tape is not None else None
-        if t is not None and t is not tape:
-            if tape is None:
-                tape = t
-            else:
-                if len(t.entries) > len(tape.entries):
-                    tape, t = t, tape
-                tape.entries.extend(t.entries)
-                t.entries = []
-                t._parent = tape
-    if not track:
-        return out
-    if tape is None:
-        tape = Tape()
-    out.requires_grad = True
-    out.tape = tape
-    tape.entries.append((out, backward_fn))
+            out.requires_grad = True
+            out._node = (next(_sequence), backward_fn, operands)
+            break
     return out
 
 
 def backward(out: Tensor) -> None:
-    """Reverse-mode pass from a scalar output down to every tape leaf.
+    """Reverse-mode pass from a scalar output down to every graph leaf.
 
     Leaves not reachable from ``out`` simply keep ``grad=None`` (read as
-    zero). Calling backward twice on the same tape is an error; build a
-    fresh evaluation instead.
+    zero). A graph is consumed by its backward pass: calling backward again
+    on it, or on anything built from it, is an error; build a fresh
+    evaluation instead.
     """
     if out.data.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {out.shape}")
-    tape = out.tape.find() if out.tape is not None else None
-    if tape is None:
+    if out._node is None:
         if out.requires_grad:
             out.grad = np.ones_like(out.data)
             return
         raise ShapeError("output is not connected to any tape leaf")
-    if tape.consumed:
-        raise ShapeError("tape already consumed; rebuild the evaluation before backward")
-    tape.consumed = True
+    recorded: dict[int, Tensor] = {}
+    stack = [out]
+    while stack:
+        t = stack.pop()
+        node = t._node
+        if node is _CONSUMED:
+            raise ShapeError("tape already consumed; rebuild the evaluation before backward")
+        if node is not None and node[0] not in recorded:
+            recorded[node[0]] = t
+            stack.extend(node[2])
     out.accumulate(np.ones_like(out.data))
-    for node, backward_fn in reversed(tape.entries):
-        if node.grad is not None:
-            backward_fn(node.grad)
+    # every operand is recorded before its output, so reverse creation
+    # order visits each node after everything that consumes it
+    for seq in sorted(recorded, reverse=True):
+        t = recorded.pop(seq)
+        backward_fn = t._node[1]
+        t._node = _CONSUMED
+        if t.grad is not None:
+            backward_fn(t.grad)
 
 
 # ---------------------------------------------------------------------------

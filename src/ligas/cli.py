@@ -112,8 +112,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     n = command("analyze", "sign statistics, scatter export, pattern mining")
     n.add_argument("--attributions", required=True)
     n.add_argument("--trees", default=None, help="trees file (enables pattern reports)")
-    n.add_argument("--aggregate", default="sum", choices=("sum", "mean"),
-                   help="pattern LIGAS aggregation")
     n.add_argument("--out", required=True, help="output directory")
 
     r = command("render", "HTML attribution heatmaps")
@@ -309,14 +307,14 @@ def cmd_attribute(args) -> int:
         attribution = integrated_gradients(weights, tokenized, ig_cfg)
         records.append(attribution_record(s.id, s.category, s.gold, attribution))
 
-    header = {"config_digest": digest, **ig_cfg.to_dict()}
+    header = {"config_digest": digest, **ig_cfg.to_dict(), "records": len(records)}
     write_attributions_jsonl(args.out, records, header)
     print(f"attributed {len(records)} sentences to {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    digest = config_digest({"command": "analyze", "aggregate": args.aggregate})
+    digest = config_digest({"command": "analyze"})
     comment = f"ligas analyze config_digest={digest}"
     _, records = read_attributions_jsonl(args.attributions)
     os.makedirs(args.out, exist_ok=True)
@@ -365,8 +363,7 @@ def cmd_analyze(args) -> int:
               f"skipped in pattern reports", file=sys.stderr)
 
     rows = mine_patterns(
-        ((tree, r["category"], r["gold"], r["sentence_ligas"]) for r, tree in matched),
-        aggregate=args.aggregate,
+        (tree, r["category"], r["gold"], r["sentence_ligas"]) for r, tree in matched
     )
     write_patterns_csv(os.path.join(args.out, "patterns.csv"), rows, comment)
 

@@ -154,11 +154,11 @@ class Prediction:
         return float(self.probs[self.predicted_index])
 
 
-def argmax_class(probs: np.ndarray, tie_break: str = LUA) -> str:
-    """Highest-probability class; an exact tie resolves to ``tie_break``."""
+def argmax_class(probs: np.ndarray) -> str:
+    """Highest-probability class; an exact tie resolves to LUA."""
     la, lua = float(probs[0]), float(probs[1])
     if la == lua:
-        return tie_break
+        return LUA
     return LA if la > lua else LUA
 
 
@@ -225,8 +225,7 @@ def embed(weights: ModelWeights, token_ids) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def forward_from_embeddings(weights: ModelWeights, e: Tensor,
-                            tie_break: str = LUA) -> Prediction:
+def forward_from_embeddings(weights: ModelWeights, e: Tensor) -> Prediction:
     """Run the encoder stack on an embedding matrix and classify.
 
     The returned prediction keeps tensor handles to the logits and
@@ -242,14 +241,14 @@ def forward_from_embeddings(weights: ModelWeights, e: Tensor,
     return Prediction(
         logits=logits_t.data.reshape(-1).copy(),
         probs=probs,
-        predicted_class=argmax_class(probs, tie_break),
+        predicted_class=argmax_class(probs),
         logits_tensor=logits_t,
         probs_tensor=probs_t,
     )
 
 
-def predict(weights: ModelWeights, token_ids, tie_break: str = LUA) -> Prediction:
-    return forward_from_embeddings(weights, embed(weights, token_ids), tie_break)
+def predict(weights: ModelWeights, token_ids) -> Prediction:
+    return forward_from_embeddings(weights, embed(weights, token_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +362,7 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
         epoch_losses.append(loss_sum / len(examples))
 
     trained = ModelWeights(cfg, arrays, weights.vocab)
-    correct = sum(
-        1 for ids, y in examples if predict(trained, ids).predicted_index == y
-    )
-    return trained, TrainTrace(epoch_losses, correct / len(examples))
+    return trained, TrainTrace(epoch_losses, accuracy(trained, examples))
 
 
 def accuracy(weights: ModelWeights, corpus: list[tuple[list[int], object]]) -> float:

@@ -261,27 +261,20 @@ class PatternRow:
     ligas: float
 
 
-def mine_patterns(records: Iterable[tuple[ParseTree, str, str, float]],
-                  aggregate: str = "sum") -> list[PatternRow]:
-    """Group sentences by (category, label, pattern) and aggregate LIGAS.
+def mine_patterns(records: Iterable[tuple[ParseTree, str, str, float]]) -> list[PatternRow]:
+    """Group sentences by (category, label, pattern) and sum their LIGAS.
 
-    ``records`` yields (tree, category, gold label, sentence_ligas). The
-    aggregate is the sum of sentence scores by default ("mean" is accepted
-    for exploration). Rows are sorted per (category, label) by count
-    descending, then pattern string.
+    ``records`` yields (tree, category, gold label, sentence_ligas). Rows
+    are sorted per (category, label) by count descending, then pattern
+    string.
     """
-    if aggregate not in ("sum", "mean"):
-        raise DataError(f"unknown aggregate {aggregate!r}; expected sum or mean")
     buckets: dict[tuple[str, str, str], list[float]] = {}
     for tree, category, label, ligas in records:
         key = (category, label, to_pattern(tree))
         buckets.setdefault(key, []).append(ligas)
     rows = []
     for (category, label, pattern), values in buckets.items():
-        total = math.fsum(values)
-        if aggregate == "mean":
-            total /= len(values)
-        rows.append(PatternRow(pattern, category, label, len(values), total))
+        rows.append(PatternRow(pattern, category, label, len(values), math.fsum(values)))
     rows.sort(key=lambda r: (r.category, r.label, -r.count, r.pattern))
     return rows
 

@@ -213,6 +213,25 @@ def test_identical_input_and_baseline_attribute_to_zero():
     assert result.completeness_gap == 0.0
 
 
+@pytest.mark.parametrize("rule, extra", [("trapezoid", 0), ("left", 1), ("right", 1)])
+def test_each_interpolation_point_is_evaluated_once(rule, extra):
+    W = np.array([[1.0, -2.0], [0.5, 3.0]])
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    baseline = np.array([[0.5, 0.0], [-1.0, 1.0]])
+    linear = linear_f(W)
+    seen = []
+
+    def f(e):
+        seen.append(e)
+        return linear(e)
+
+    result = path_integral(f, x, baseline, 8, rule)
+    assert len(seen) == len(interpolation_points(8, rule)) + extra
+    assert any(e is x for e in seen)  # F(x) is evaluated at x itself
+    assert result.output_value == float(np.vdot(W, x))
+    assert result.baseline_value == float(np.vdot(W, baseline))
+
+
 def test_shape_mismatch_is_a_data_error():
     with pytest.raises(DataError, match="shape"):
         path_integral(bilinear_f, np.zeros((1, 2)), np.zeros((2, 2)), 4, "right")

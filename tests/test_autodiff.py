@@ -1,6 +1,8 @@
-"""Gradient correctness (vs central finite differences) and tape semantics."""
+"""Gradient correctness (vs central finite differences) and graph semantics."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -163,15 +165,15 @@ def test_softmax_rows_sum_to_one_and_are_stable():
 
 
 # ---------------------------------------------------------------------------
-# tape semantics
+# graph semantics
 # ---------------------------------------------------------------------------
 
 
 def test_disconnected_subgraphs_merge_on_join():
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
-    left = ad.scale(a, 2.0)   # tape 1
-    right = ad.scale(b, 3.0)  # tape 2
+    left = ad.scale(a, 2.0)   # subgraph 1
+    right = ad.scale(b, 3.0)  # subgraph 2
     out = ad.sum_all(ad.add(left, right))
     backward(out)
     assert np.allclose(grad_of(a), 2.0)
@@ -202,8 +204,40 @@ def test_backward_requires_scalar():
 
 def test_no_grad_path_records_nothing():
     a = Tensor(np.ones((2, 2)))
-    out = ad.gelu(ad.scale(a, 2.0))
-    assert out.tape is None and not out.requires_grad
+    out = ad.sum_all(ad.gelu(ad.scale(a, 2.0)))
+    assert not out.requires_grad
+    with pytest.raises(ShapeError, match="not connected"):
+        backward(out)
+
+
+def test_graph_built_on_a_consumed_graph_is_rejected():
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    mid = ad.sum_all(ad.scale(a, 2.0))
+    backward(mid)
+    with pytest.raises(ShapeError, match="consumed"):
+        backward(ad.scale(mid, 3.0))
+    assert np.allclose(grad_of(a), 2.0)
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    # a finished evaluation must hold no reference cycle, so dropping its
+    # output frees every intermediate by reference counting alone
+    a = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    w = Tensor(np.array([[1.0, 2.0], [-0.5, 0.75]]), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        hidden = ad.tanh(ad.matmul(a, w))
+        alive = weakref.ref(hidden.data)  # the intermediate's payload
+        out = ad.sum_all(ad.mul(hidden, hidden))
+        del hidden
+        backward(out)
+        del out
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert grad_of(a).shape == (2, 2) and grad_of(w).shape == (2, 2)
 
 
 def test_unused_leaf_reads_zero_gradient():

@@ -332,6 +332,17 @@ def test_analyze_warns_on_sentences_without_trees(pipeline, tmp_path, capsys):
     assert (out / "patterns.csv").exists()
 
 
+def test_analyze_rejects_a_truncated_attribution_file(pipeline, tmp_path, capsys):
+    lines = pipeline["attributions"].read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:5]), encoding="utf-8")  # the header and 4 of 20 records
+    out = tmp_path / "cut_reports"
+    code = main(["analyze", "--attributions", str(cut), "--out", str(out)])
+    assert code == 2
+    assert f"{cut}: header declares 20 records, the file holds 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_rejects_misaligned_trees(pipeline, tmp_path, capsys):
     wrong = tmp_path / "wrong_trees.tsv"
     lines = (pipeline["data"] / "trees.tsv").read_text(encoding="utf-8").splitlines()

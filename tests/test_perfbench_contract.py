@@ -3,11 +3,18 @@
 ``perfbench/spans.py`` looks each traced function up by name with
 ``getattr``; a function deleted or renamed here would crash the traced
 benchmark run rather than fail a test, so this file checks the contract.
+The tracer also wraps every backward rule as ``autodiff._bind`` records
+it, so a traced forward/backward must give the untraced gradient.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import ligas.cli  # noqa: F401  (the tracer patches the CLI's command table)
+from ligas import autodiff, model
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,3 +41,30 @@ def test_traced_hooks_exist():
     assert set(spans.COMMANDS) <= set(cli._HANDLERS)
     assert callable(importlib.import_module("ligas.autodiff")._bind)
     assert callable(importlib.import_module("ligas.attribution").interpolation_points)
+
+
+def _embedding_gradient() -> np.ndarray:
+    """One small forward/backward through module attributes, so a tracer's
+    patches take effect."""
+    weights = model.init(model.ModelConfig(vocab_size=12, d_model=8, n_heads=2,
+                                           n_layers=1, d_ff=16, max_seq_len=8))
+    e = model.embed(weights, [2, 5, 7, 3])
+    pred = model.forward_from_embeddings(weights, e)
+    autodiff.backward(autodiff.pick(pred.logits_tensor, 1))
+    return autodiff.grad_of(e)
+
+
+def test_traced_backward_matches_untraced():
+    spans = load_spans()
+    expected = _embedding_gradient()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = _embedding_gradient()
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced, expected)
+    calls, _ = tracer.self_times()
+    assert calls["autodiff.backward"] == 1
+    assert calls["autodiff.matmul.bwd"] > 0 and calls["autodiff.softmax.bwd"] > 0
+    assert np.array_equal(_embedding_gradient(), expected)  # uninstalled cleanly

@@ -307,22 +307,11 @@ def test_mine_patterns_counts_and_sums():
     assert rows[2].ligas == -1.0
 
 
-def test_mine_patterns_mean_mode():
-    rows = mine_patterns(make_records(), aggregate="mean")
-    assert rows[0].count == 3
-    assert rows[0].ligas == pytest.approx(3.5 / 3)
-
-
 def test_mine_patterns_tie_breaks_on_pattern_text():
     a = parse_bracketed("(S (NN x) (VB y))")
     b = parse_bracketed("(S (DT x) (NN y))")
     rows = mine_patterns([(a, "CIA", "LA", 1.0), (b, "CIA", "LA", 1.0)])
     assert [r.pattern for r in rows] == ["(S(DT)(NN))", "(S(NN)(VB))"]
-
-
-def test_mine_patterns_rejects_unknown_aggregate():
-    with pytest.raises(DataError, match="unknown aggregate"):
-        mine_patterns([], aggregate="median")
 
 
 def test_mine_patterns_empty_input():
