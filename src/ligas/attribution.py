@@ -107,7 +107,7 @@ def make_baseline(weights: ModelWeights, token_ids, mode: str) -> Tensor:
         padded = list(ids)
         for i in range(1, len(padded) - 1):
             padded[i] = PAD_ID
-        return Tensor(embed(weights, padded).data)
+        return embed(weights, padded)
     raise UsageError(f"unknown baseline mode {mode!r}")
 
 
@@ -217,7 +217,7 @@ def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
     """Attribute one tokenized sentence at the embedding layer."""
     ids = list(sentence.token_ids)
     x = embed(weights, ids)
-    prediction = forward_from_embeddings(weights, Tensor(x.data))  # records no graph
+    prediction = forward_from_embeddings(weights, x)
     target_class = cfg.target_class or prediction.predicted_class
     target_index = CLASSES.index(target_class)
     baseline = make_baseline(weights, ids, cfg.baseline_mode)

@@ -133,10 +133,6 @@ def _scan_config_path(argv: list[str]) -> str | None:
     return None
 
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
 def _apply_config_file(sub: _Parser, values: dict[str, str]) -> None:
     actions = {a.dest: a for a in sub._actions
                if a.dest not in ("help", "config")}
@@ -156,11 +152,6 @@ def _apply_config_file(sub: _Parser, values: dict[str, str]) -> None:
                 defaults[key] = float(raw)
             except ValueError:
                 raise UsageError(f"config key {key}: expected a number, got {raw!r}")
-        elif isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = raw.lower()
-            if low not in _TRUE + _FALSE:
-                raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
-            defaults[key] = low in _TRUE
         else:
             if action.choices and raw not in action.choices:
                 raise UsageError(
@@ -300,12 +291,12 @@ def cmd_attribute(args) -> int:
     weights = load_weights(args.weights)
     if weights.vocab is None:
         raise DataError(f"{args.weights}: weight file carries no vocabulary")
-    records = []
-    for s in read_corpus_tsv(args.corpus):
-        tokenized = _tokenize_within(s, weights.vocab, weights.config.max_seq_len,
-                                     args.corpus)
-        attribution = integrated_gradients(weights, tokenized, ig_cfg)
-        records.append(attribution_record(s.id, s.category, s.gold, attribution))
+    sentences = read_corpus_tsv(args.corpus)
+    tokenized = [_tokenize_within(s, weights.vocab, weights.config.max_seq_len, args.corpus)
+                 for s in sentences]
+    records = [attribution_record(s.id, s.category, s.gold,
+                                  integrated_gradients(weights, t, ig_cfg))
+               for s, t in zip(sentences, tokenized)]
 
     header = {"config_digest": digest, **ig_cfg.to_dict(), "records": len(records)}
     write_attributions_jsonl(args.out, records, header)

@@ -19,14 +19,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import config_digest, stream_rng
 from .errors import DataError, NumericError, UsageError
-from .tokenizer import PAD_ID, Vocabulary
+from .tokenizer import Vocabulary
 
 CLASSES = ("LA", "LUA")
 LA, LUA = CLASSES
 
 WEIGHTS_MAGIC = b"LIGASW01"
-
-_MASKED_SCORE = -1e9
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ def _wrap(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
     return {n: Tensor(a, requires_grad=requires_grad) for n, a in weights.arrays.items()}
 
 
-def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor,
-               mask_bias: Tensor | None, n_heads: int) -> Tensor:
+def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor, n_heads: int) -> Tensor:
     d = h.shape[1]
     dh = d // n_heads
     q = ad.add(ad.matmul(h, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
@@ -181,19 +178,17 @@ def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor,
         kh = ad.slice_cols(k, lo, hi)
         vh = ad.slice_cols(v, lo, hi)
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv)
-        if mask_bias is not None:
-            scores = ad.add(scores, mask_bias)
         parts.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
     ctx = ad.concat_cols(parts)
     return ad.add(ad.matmul(ctx, wts[f"{prefix}.wo"]), wts[f"{prefix}.bo"])
 
 
 def _encode(wts: dict[str, Tensor], cfg: ModelConfig, e: Tensor,
-            mask_bias: Tensor | None = None, check: bool = True) -> Tensor:
+            check: bool = True) -> Tensor:
     h = e
     for i in range(cfg.n_layers):
         p = f"layer{i}"
-        attn_out = _attention(wts, f"{p}.attn", h, mask_bias, cfg.n_heads)
+        attn_out = _attention(wts, f"{p}.attn", h, cfg.n_heads)
         h = ad.layer_norm(ad.add(h, attn_out), wts[f"{p}.ln1.gain"], wts[f"{p}.ln1.bias"])
         up = ad.gelu(ad.add(ad.matmul(h, wts[f"{p}.ff.w1"]), wts[f"{p}.ff.b1"]))
         ff = ad.add(ad.matmul(up, wts[f"{p}.ff.w2"]), wts[f"{p}.ff.b2"])
@@ -208,21 +203,33 @@ def _logits(wts: dict[str, Tensor], h: Tensor) -> Tensor:
     return ad.add(ad.matmul(pooled, wts["head.w"]), wts["head.b"])
 
 
-def embed(weights: ModelWeights, token_ids) -> Tensor:
-    """Token + position embeddings as a gradient-tracking leaf tensor."""
-    cfg = weights.config
-    ids = list(token_ids)
+def _check_ids(cfg: ModelConfig, ids: list[int], where: str = "embed") -> None:
     if not ids:
-        raise DataError("embed: empty token sequence")
+        raise DataError(f"{where}: empty token sequence")
     if len(ids) > cfg.max_seq_len:
         raise DataError(
-            f"embed: sequence of {len(ids)} tokens exceeds max_seq_len {cfg.max_seq_len}"
+            f"{where}: sequence of {len(ids)} tokens exceeds max_seq_len {cfg.max_seq_len}"
         )
     for t in ids:
         if not (0 <= t < cfg.vocab_size):
-            raise DataError(f"embed: token id {t} out of range [0, {cfg.vocab_size})")
-    values = weights.arrays["tok_emb"][ids] + weights.arrays["pos_emb"][: len(ids)]
-    return Tensor(values, requires_grad=True)
+            raise DataError(f"{where}: token id {t} out of range [0, {cfg.vocab_size})")
+
+
+def _embed(wts: dict[str, Tensor], cfg: ModelConfig, ids: list[int]) -> Tensor:
+    """Token + position embeddings gathered from the two tables in ``wts``;
+    a graph is recorded only when the tables track gradients."""
+    _check_ids(cfg, ids)
+    return ad.add(ad.rows(wts["tok_emb"], ids), ad.rows(wts["pos_emb"], range(len(ids))))
+
+
+def embed(weights: ModelWeights, token_ids) -> Tensor:
+    """Token + position embeddings of a sentence; records no graph.
+
+    Wrap the result's ``data`` in a gradient-tracking tensor to
+    differentiate with respect to the embeddings.
+    """
+    tables = {n: Tensor(weights.arrays[n]) for n in ("tok_emb", "pos_emb")}
+    return _embed(tables, weights.config, list(token_ids))
 
 
 def forward_from_embeddings(weights: ModelWeights, e: Tensor) -> Prediction:
@@ -283,18 +290,8 @@ def _class_index(label) -> int:
 
 
 def _sentence_loss(wts: dict[str, Tensor], cfg: ModelConfig, ids: list[int],
-                   pad_to: int, label_idx: int) -> Tensor:
-    n = len(ids)
-    padded = ids + [PAD_ID] * (pad_to - n)
-    positions = list(range(pad_to))
-    emb = ad.add(ad.rows(wts["tok_emb"], padded), ad.rows(wts["pos_emb"], positions))
-    mask_bias = None
-    if pad_to > n:
-        bias = np.zeros(pad_to)
-        bias[n:] = _MASKED_SCORE
-        mask_bias = Tensor(bias)
-    h = _encode(wts, cfg, emb, mask_bias, check=False)
-    logits = _logits(wts, h)
+                   label_idx: int) -> Tensor:
+    logits = _logits(wts, _encode(wts, cfg, _embed(wts, cfg, ids), check=False))
     # stable log-sum-exp; the shift constant drops out of the gradient
     m = float(logits.data.max())
     shifted = ad.sub(logits, Tensor(np.full((1, cfg.n_classes), m)))
@@ -306,9 +303,10 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
           hyper: TrainConfig) -> tuple[ModelWeights, TrainTrace]:
     """Adam on cross-entropy; deterministic given the shuffle seed.
 
-    ``corpus`` pairs token-id sequences with LA/LUA labels. Sentences are
-    padded to the longest in their batch, with attention to the padded keys
-    masked out.
+    ``corpus`` pairs token-id sequences with LA/LUA labels. Each sentence
+    runs at its own length through the same embedding and encoder as
+    :func:`predict`; a batch's loss is the mean of its sentences' losses.
+    Every sentence's ids are checked before the first step.
     """
     if not corpus:
         raise DataError("train: empty corpus")
@@ -317,11 +315,8 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
     labels_present = {y for _, y in examples}
     if labels_present != {0, 1}:
         raise DataError("train: corpus must contain both LA and LUA examples")
-    for ids, _ in examples:
-        if len(ids) > cfg.max_seq_len:
-            raise DataError(
-                f"train: sentence of {len(ids)} tokens exceeds max_seq_len {cfg.max_seq_len}"
-            )
+    for i, (ids, _) in enumerate(examples):
+        _check_ids(cfg, ids, f"train: example {i}")
 
     arrays = {n: a.copy() for n, a in weights.arrays.items()}
     adam_m = {n: np.zeros_like(a) for n, a in arrays.items()}
@@ -335,11 +330,10 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
         loss_sum = 0.0
         for start in range(0, len(order), hyper.batch):
             batch = [examples[i] for i in order[start : start + hyper.batch]]
-            pad_to = max(len(ids) for ids, _ in batch)
             wts = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
             total = None
             for ids, y in batch:
-                loss = _sentence_loss(wts, cfg, ids, pad_to, y)
+                loss = _sentence_loss(wts, cfg, ids, y)
                 total = loss if total is None else ad.add(total, loss)
             batch_loss = ad.scale(total, 1.0 / len(batch))
             value = batch_loss.item()

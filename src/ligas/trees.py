@@ -189,28 +189,27 @@ class SubtreeScore:
 
 def subtree_scores(tree: ParseTree, word_ligas: list[float]) -> list[SubtreeScore]:
     """One score per labeled node, preorder: the exact sum of the word
-    scores under that node. Works for leafed trees and bare patterns alike
-    (leaf slots are matched to words positionally)."""
+    scores under that node, built bottom-up as the sum of its children's
+    scores. Works for leafed trees and bare patterns alike (leaf slots are
+    matched to words positionally)."""
     if tree.leaf_count() != len(word_ligas):
         raise DataError(
             f"subtree_scores: tree has {tree.leaf_count()} leaves but "
             f"{len(word_ligas)} word scores were given"
         )
-    exact = [Fraction(v) for v in word_ligas]
+    words = iter(word_ligas)
     out: list[SubtreeScore] = []
 
-    def visit(node: ParseTree, path: Path, lo: int) -> int:
+    def visit(node: ParseTree, path: Path) -> Fraction:
         if node.is_leaf_slot:
-            hi = lo + 1
+            score = Fraction(next(words))
         else:
-            hi = lo
-            for i, child in enumerate(node.children):
-                hi = visit(child, path + (i,), hi)
-        score = sum(exact[lo:hi], Fraction(0))
+            score = sum((visit(child, path + (i,)) for i, child in enumerate(node.children)),
+                        Fraction(0))
         out.append(SubtreeScore(path, to_pattern(node), score))
-        return hi
+        return score
 
-    visit(tree, (), 0)
+    visit(tree, ())
     out.sort(key=lambda s: s.path)
     return out
 

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+import ligas.cli
 from ligas.cli import main
 
 TINY_TRAIN = [
@@ -212,15 +213,22 @@ def test_bad_threads_values_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_over_length_sentence_in_attribute_names_it(pipeline, tmp_path, capsys):
+def test_over_length_sentence_in_attribute_names_it(pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+    calls = []
+    real = ligas.cli.integrated_gradients
+    monkeypatch.setattr(ligas.cli, "integrated_gradients",
+                        lambda *args: calls.append(args) or real(*args))
     corpus = tmp_path / "long.tsv"
-    corpus.write_text("id\tcategory\tlabel\tsentence\n"
-                      "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
+    # valid pipeline sentences first: the whole corpus is checked before any is attributed
+    corpus.write_text((pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
+                      + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
                       encoding="utf-8")
     code = main(["attribute", "--corpus", str(corpus),
                  "--weights", str(pipeline["weights"]), "--steps", "4",
                  "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
+    assert calls == []
     err = capsys.readouterr().err
     assert f"{corpus}: sentence SVA-9999-LA: " in err
     assert "exceed max_seq_len 16" in err

@@ -88,9 +88,16 @@ def test_embed_validates_inputs():
         embed(weights, [2, 40, 3])
 
 
+def test_inference_records_no_graph():
+    weights = init(SMALL)
+    for t in (embed(weights, [2, 5, 3]), predict(weights, [2, 5, 3]).logits_tensor):
+        assert not t.requires_grad
+        assert t._node is None
+
+
 def test_embedding_gradient_flows_through_encoder():
     weights = init(SMALL)
-    e = embed(weights, [2, 7, 9, 3])
+    e = Tensor(embed(weights, [2, 7, 9, 3]).data, requires_grad=True)
     pred = forward_from_embeddings(weights, e)
     ad.backward(ad.pick(pred.logits_tensor, 0))
     g = ad.grad_of(e)
@@ -132,7 +139,7 @@ def test_weight_gradients_match_finite_differences_on_loss():
     weights = init(SMALL)
     ids = [2, 7, 9, 3]
     wts = _wrap(weights, requires_grad=True)
-    loss = _sentence_loss(wts, SMALL, ids, pad_to=len(ids), label_idx=1)
+    loss = _sentence_loss(wts, SMALL, ids, label_idx=1)
     ad.backward(loss)
 
     rng = np.random.default_rng(0)
@@ -146,23 +153,12 @@ def test_weight_gradients_match_finite_differences_on_loss():
 
             def loss_at(v: float) -> float:
                 arr[i] = v
-                out = _sentence_loss(_wrap(weights, False), SMALL, ids,
-                                     pad_to=len(ids), label_idx=1)
+                out = _sentence_loss(_wrap(weights, False), SMALL, ids, label_idx=1)
                 arr[i] = saved
                 return out.item()
 
             fd = (loss_at(saved + eps) - loss_at(saved - eps)) / (2.0 * eps)
             assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd), abs(grad[i]))
-
-
-def test_padding_with_masked_keys_preserves_the_output():
-    weights = init(SMALL)
-    ids = [2, 7, 9, 3]
-    unpadded = _sentence_loss(_wrap(weights, False), SMALL, ids,
-                              pad_to=len(ids), label_idx=0).item()
-    padded = _sentence_loss(_wrap(weights, False), SMALL, ids,
-                            pad_to=len(ids) + 5, label_idx=0).item()
-    assert abs(unpadded - padded) <= 1e-9
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -207,6 +203,17 @@ def test_training_validates_corpus():
         train(weights, [([2, 3], "LA")], TrainConfig())
     with pytest.raises(DataError, match="max_seq_len"):
         train(weights, [([2] * 13, "LA"), ([2, 3], "LUA")], TrainConfig())
+
+
+@pytest.mark.parametrize("bad_id", [SMALL.vocab_size, -1])
+def test_training_rejects_out_of_range_ids_before_the_first_step(bad_id, monkeypatch):
+    def no_step(out):
+        raise AssertionError("a training step ran before the ids were checked")
+
+    monkeypatch.setattr(ad, "backward", no_step)
+    corpus = [([2, 7, 9, 3], "LA"), ([2, 9, 7, 3], "LUA"), ([2, bad_id, 3], "LA")]
+    with pytest.raises(DataError, match=rf"train: example 2: token id {bad_id} out of range"):
+        train(init(SMALL), corpus, TrainConfig(epochs=1, batch=2, seed=0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

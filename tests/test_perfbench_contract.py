@@ -48,7 +48,7 @@ def _embedding_gradient() -> np.ndarray:
     patches take effect."""
     weights = model.init(model.ModelConfig(vocab_size=12, d_model=8, n_heads=2,
                                            n_layers=1, d_ff=16, max_seq_len=8))
-    e = model.embed(weights, [2, 5, 7, 3])
+    e = autodiff.Tensor(model.embed(weights, [2, 5, 7, 3]).data, requires_grad=True)
     pred = model.forward_from_embeddings(weights, e)
     autodiff.backward(autodiff.pick(pred.logits_tensor, 1))
     return autodiff.grad_of(e)
