@@ -275,14 +275,21 @@ def write_attributions_jsonl(path: str, records: Iterable[dict],
             fh.write(json.dumps(record) + "\n")
 
 
+def _is_finite(value) -> bool:  # a finite JSON number; bool is not one here
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
     """Returns (header, records); the header is {} when absent.
 
-    A header that declares a ``records`` count must match the records read,
-    so a file cut short at a line boundary is rejected.
+    Each record must carry unique string ids and labels, finite numbers and
+    a list of ``{"text", "ligas"}`` words. A header that declares a
+    ``records`` count must match the records read, so a file cut short at
+    a line boundary is rejected.
     """
     header: dict = {}
     records: list[dict] = []
+    ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -299,11 +306,23 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
                     header = obj
                     continue
                 raise DataError(f"{path}:{line_no}: record is missing 'id'")
-            missing = [k for k in ("category", "gold", "predicted", "prob",
-                                   "sentence_ligas", "completeness_gap", "words")
-                       if k not in obj]
-            if missing:
-                raise DataError(f"{path}:{line_no}: record is missing {missing}")
+            words = obj.get("words")
+            bad = [k for k in ("id", "category", "gold", "predicted")
+                   if type(obj.get(k)) is not str]
+            bad += [k for k in ("prob", "sentence_ligas", "completeness_gap")
+                    if not _is_finite(obj.get(k))]
+            if type(words) is not list or not all(
+                    type(w) is dict and type(w.get("text")) is str
+                    and _is_finite(w.get("ligas")) for w in words):
+                bad.append("words")
+            if bad:
+                raise DataError(f"{path}:{line_no}: record {obj['id']!r}: missing or "
+                                f"malformed {bad} (want string ids and labels, finite "
+                                f"scores, and words as {{'text': string, 'ligas': number}} "
+                                f"objects)")
+            if obj["id"] in ids:
+                raise DataError(f"{path}:{line_no}: duplicate record id {obj['id']!r}")
+            ids.add(obj["id"])
             records.append(obj)
     if "records" in header and header["records"] != len(records):
         raise DataError(f"{path}: header declares {header['records']!r} records, "

@@ -54,7 +54,6 @@ from .trees import (
     mine_patterns,
     rank_subtrees,
     read_trees,
-    subtree_scores,
     to_pattern,
     write_patterns_csv,
     write_trees,
@@ -308,6 +307,20 @@ def cmd_analyze(args) -> int:
     digest = config_digest({"command": "analyze"})
     comment = f"ligas analyze config_digest={digest}"
     _, records = read_attributions_jsonl(args.attributions)
+    matched = []
+    skipped = 0
+    if args.trees is not None:  # checked before any report is written
+        trees = read_trees(args.trees)
+        for r in records:
+            tree = trees.get(r["id"])
+            if tree is None:
+                skipped += 1
+                continue
+            try:
+                align(tree, [w["text"] for w in r["words"]])
+            except DataError as exc:
+                raise DataError(f"{args.trees}: sentence {r['id']}: {exc}") from exc
+            matched.append((r, tree))
     os.makedirs(args.out, exist_ok=True)
 
     stats = sign_stats(
@@ -334,21 +347,6 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         print(f"wrote stats and scatter reports to {args.out}")
         return 0
-
-    trees = read_trees(args.trees)
-    matched = []
-    skipped = 0
-    for r in records:
-        tree = trees.get(r["id"])
-        if tree is None:
-            skipped += 1
-            continue
-        words = [w["text"] for w in r["words"]]
-        try:
-            align(tree, words)
-        except DataError as exc:
-            raise DataError(f"sentence {r['id']}: {exc}") from exc
-        matched.append((r, tree))
     if skipped:
         print(f"warning: {skipped} sentence(s) have no tree; "
               f"skipped in pattern reports", file=sys.stderr)
@@ -358,20 +356,20 @@ def cmd_analyze(args) -> int:
     )
     write_patterns_csv(os.path.join(args.out, "patterns.csv"), rows, comment)
 
-    groups: dict[tuple[str, str, str], list] = {}
+    groups: dict[tuple[str, str, str], tuple] = {}  # key -> (tree, word-score rows)
     for r, tree in matched:
         key = (r["category"], r["gold"], to_pattern(tree))
-        word_ligas = [w["ligas"] for w in r["words"]]
-        groups.setdefault(key, []).append(subtree_scores(tree, word_ligas))
+        groups.setdefault(key, (tree, []))[1].append([w["ligas"] for w in r["words"]])
     with open(os.path.join(args.out, "subtree_ranks.csv"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {comment}\n")
         fh.write("category,label,pattern,count,subtree_path,subtree,ligas\n")
         for key in sorted(groups):
             category, label, pattern = key
-            ranked = rank_subtrees(groups[key])
+            tree, group = groups[key]
+            ranked = rank_subtrees(tree, group)
             path = ".".join(str(i) for i in ranked.path)
-            fh.write(f"{category},{label},{pattern},{len(groups[key])},"
+            fh.write(f"{category},{label},{pattern},{len(group)},"
                      f"{path},{ranked.fragment},{ranked.ligas!r}\n")
 
     print(f"wrote analysis reports to {args.out}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,18 +50,6 @@ class ModelConfig:
             raise UsageError("only binary acceptability classification is supported")
         if not (0 <= self.seed < 2**64):
             raise UsageError("seed must fit in 64 bits")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_seq_len": self.max_seq_len,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
 
 
 def tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -389,9 +377,10 @@ def save_weights(weights: ModelWeights, path: str) -> None:
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += len(blob)
         blobs.append(blob)
+    config = asdict(weights.config)
     header: dict = {
-        "config": weights.config.to_dict(),
-        "config_digest": config_digest(weights.config.to_dict()),
+        "config": config,
+        "config_digest": config_digest(config),
         "tensors": entries,
         "payload_bytes": offset,
     }

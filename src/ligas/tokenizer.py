@@ -46,9 +46,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._ids[token]
 
-    def token_of(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)

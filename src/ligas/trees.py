@@ -16,6 +16,7 @@ rounded from those rationals.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -23,6 +24,8 @@ from typing import Iterable, Iterator
 from .errors import DataError
 
 Path = tuple[int, ...]
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")  # a bracket, or a label or word
 
 
 @dataclass(frozen=True)
@@ -70,61 +73,46 @@ def parse_bracketed(text: str) -> ParseTree:
     Whitespace between tokens is ignored. Errors report the byte offset of
     the offending position.
     """
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def read_atom() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and not s[pos].isspace() and s[pos] not in "()":
-            pos += 1
-        if pos == start:
-            raise DataError(f"expected a label or word at offset {start}")
-        return s[start:pos]
-
-    def read_node() -> ParseTree:
-        nonlocal pos
-        skip_ws()
-        if pos >= n or s[pos] != "(":
+    if not text.strip():
+        raise DataError("empty tree text")
+    open_nodes: list[list] = []  # [label, children, leaf word or None], innermost last
+    root: ParseTree | None = None
+    want_label = False
+    for match in _TOKEN.finditer(text):
+        token, pos = match.group(), match.start()
+        if root is not None:
+            raise DataError(f"trailing characters after tree at offset {pos}")
+        if want_label:
+            if token in ("(", ")"):
+                raise DataError(f"expected a label or word at offset {pos}")
+            open_nodes.append([token, [], None])
+            want_label = False
+        elif not open_nodes and token != "(":
             raise DataError(f"expected '(' at offset {pos}")
-        pos += 1
-        skip_ws()
-        label = read_atom()
-        children: list[ParseTree] = []
-        word: str | None = None
-        while True:
-            skip_ws()
-            if pos >= n:
-                raise DataError(f"unbalanced parentheses: unexpected end at offset {pos}")
-            ch = s[pos]
-            if ch == ")":
-                pos += 1
-                return ParseTree(label, tuple(children), word)
-            if ch == "(":
-                if word is not None:
-                    raise DataError(
-                        f"node {label}: subtree after leaf word at offset {pos}"
-                    )
-                children.append(read_node())
-                continue
+        elif token == "(":
+            if open_nodes and open_nodes[-1][2] is not None:
+                raise DataError(
+                    f"node {open_nodes[-1][0]}: subtree after leaf word at offset {pos}"
+                )
+            want_label = True
+        elif token == ")":
+            label, children, word = open_nodes.pop()
+            node = ParseTree(label, tuple(children), word)
+            if open_nodes:
+                open_nodes[-1][1].append(node)
+            else:
+                root = node
+        else:
+            label, children, word = open_nodes[-1]
             if children:
                 raise DataError(f"node {label}: word after subtrees at offset {pos}")
             if word is not None:
                 raise DataError(f"node {label}: second leaf word at offset {pos}")
-            word = read_atom()
-
-    if not text.strip():
-        raise DataError("empty tree text")
-    root = read_node()
-    skip_ws()
-    if pos != n:
-        raise DataError(f"trailing characters after tree at offset {pos}")
+            open_nodes[-1][2] = token
+    if want_label:
+        raise DataError(f"expected a label or word at offset {len(text)}")
+    if root is None:
+        raise DataError(f"unbalanced parentheses: unexpected end at offset {len(text)}")
     return root
 
 
@@ -187,11 +175,13 @@ class SubtreeScore:
         return len(self.path)
 
 
-def subtree_scores(tree: ParseTree, word_ligas: list[float]) -> list[SubtreeScore]:
+def subtree_scores(tree: ParseTree,
+                   word_ligas: list[float] | list[Fraction]) -> list[SubtreeScore]:
     """One score per labeled node, preorder: the exact sum of the word
     scores under that node, built bottom-up as the sum of its children's
     scores. Works for leafed trees and bare patterns alike (leaf slots are
-    matched to words positionally)."""
+    matched to words positionally). The word scores may be floats or exact
+    ``Fraction`` totals, such as a group's per-position sums."""
     if tree.leaf_count() != len(word_ligas):
         raise DataError(
             f"subtree_scores: tree has {tree.leaf_count()} leaves but "
@@ -222,9 +212,12 @@ class RankedSubtree:
     ligas_exact: Fraction
 
 
-def rank_subtrees(group: list[list[SubtreeScore]]) -> RankedSubtree:
+def rank_subtrees(tree: ParseTree, group: list[list[float]]) -> RankedSubtree:
     """The subtree position with maximal LIGAS aggregated across a group of
     same-pattern sentences.
+
+    ``tree`` is the group's shared tree and ``group`` holds each sentence's
+    word scores, summed exactly per leaf before one ``subtree_scores`` walk.
 
     The whole-tree root is not a candidate (the interesting constituent is
     always a proper subtree; a root "winner" would carry no information) —
@@ -233,17 +226,14 @@ def rank_subtrees(group: list[list[SubtreeScore]]) -> RankedSubtree:
     """
     if not group:
         raise DataError("rank_subtrees: empty group")
-    totals: dict[Path, Fraction] = {}
-    fragments: dict[Path, str] = {}
-    for scores in group:
-        for s in scores:
-            totals[s.path] = totals.get(s.path, Fraction(0)) + s.ligas_exact
-            fragments.setdefault(s.path, s.fragment)
-    candidates = [p for p in totals if p != ()]
-    if not candidates:
-        candidates = [()]
-    best = max(candidates, key=lambda p: (totals[p], -len(p), [-i for i in p]))
-    return RankedSubtree(best, fragments[best], float(totals[best]), totals[best])
+    n_leaves = tree.leaf_count()
+    if any(len(row) != n_leaves for row in group):
+        raise DataError(f"rank_subtrees: every sentence needs {n_leaves} word scores")
+    totals = [sum(map(Fraction, column)) for column in zip(*group)]
+    scores = subtree_scores(tree, totals)
+    candidates = scores[1:] or scores  # preorder: the root comes first
+    best = max(candidates, key=lambda s: (s.ligas_exact, -s.depth, [-i for i in s.path]))
+    return RankedSubtree(best.path, best.fragment, best.ligas, best.ligas_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ identities rather than tolerances wherever the arithmetic allows it.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -438,4 +439,43 @@ def test_jsonl_rejects_second_headerlike_line(tmp_path):
     path.write_text('{"config_digest": "x"}\n{"config_digest": "y"}\n',
                     encoding="utf-8")
     with pytest.raises(DataError, match="missing 'id'"):
+        read_attributions_jsonl(str(path))
+
+
+GOOD_RECORD = {
+    "id": "CIA-0000-LA", "category": "CIA", "gold": "LA", "predicted": "LA",
+    "prob": 0.75, "sentence_ligas": 0.5, "completeness_gap": 0.0,
+    "words": [{"text": "the", "ligas": 0.25}, {"text": "dog", "ligas": 0.25}],
+}
+
+
+@pytest.mark.parametrize("change,bad", [
+    ({"id": 5}, ["id"]),
+    ({"category": None}, ["category"]),
+    ({"gold": 1}, ["gold"]),
+    ({"predicted": ["LA"]}, ["predicted"]),
+    ({"prob": "high"}, ["prob"]),
+    ({"prob": True}, ["prob"]),
+    ({"sentence_ligas": float("nan")}, ["sentence_ligas"]),
+    ({"completeness_gap": float("inf")}, ["completeness_gap"]),
+    ({"words": 5}, ["words"]),
+    ({"words": ["the"]}, ["words"]),
+    ({"words": [{"text": 1, "ligas": 0.0}]}, ["words"]),
+    ({"words": [{"text": "the"}]}, ["words"]),
+    ({"words": [{"text": "the", "ligas": float("nan")}]}, ["words"]),
+    ({"gold": None, "prob": None}, ["gold", "prob"]),
+])
+def test_jsonl_rejects_malformed_fields(tmp_path, change, bad):
+    path = tmp_path / "bad.jsonl"
+    record = {**GOOD_RECORD, "id": "b", **change}
+    write_attributions_jsonl(str(path), [GOOD_RECORD, record], header={"config_digest": "x"})
+    message = f"bad.jsonl:3: record {record['id']!r}: missing or malformed {bad}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_attributions_jsonl(str(path))
+
+
+def test_jsonl_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    write_attributions_jsonl(str(path), [GOOD_RECORD, GOOD_RECORD])
+    with pytest.raises(DataError, match=r"dup\.jsonl:2: duplicate record id 'CIA-0000-LA'"):
         read_attributions_jsonl(str(path))

@@ -11,7 +11,10 @@ import re
 import pytest
 
 import ligas.cli
+from ligas.attribution import read_attributions_jsonl
 from ligas.cli import main
+from ligas.trees import read_trees, to_pattern
+from test_trees import rank_oracle
 
 TINY_TRAIN = [
     "--vocab-size", "128", "--d-model", "16", "--n-heads", "2",
@@ -132,6 +135,23 @@ def test_subtree_ranks_layout(pipeline):
         assert subtree.startswith("(")
         assert path == "" or re.fullmatch(r"\d+(\.\d+)*", path)
         float(ligas)
+
+
+def test_subtree_ranks_match_the_per_path_oracle(pipeline):
+    _, records = read_attributions_jsonl(str(pipeline["attributions"]))
+    trees = read_trees(str(pipeline["data"] / "trees.tsv"))
+    groups = {}
+    for r in records:
+        tree = trees[r["id"]]
+        key = (r["category"], r["gold"], to_pattern(tree))
+        groups.setdefault(key, (tree, []))[1].append([w["ligas"] for w in r["words"]])
+    expected = []
+    for (category, label, pattern), (tree, rows) in sorted(groups.items()):
+        path, fragment, total = rank_oracle(tree, rows)
+        expected.append(f"{category},{label},{pattern},{len(rows)},"
+                        f"{'.'.join(map(str, path))},{fragment},{float(total)!r}")
+    lines = (pipeline["out"] / "subtree_ranks.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == expected
 
 
 def test_render_selects_ids(pipeline, tmp_path):
@@ -360,4 +380,21 @@ def test_analyze_rejects_misaligned_trees(pipeline, tmp_path, capsys):
     code = main(["analyze", "--attributions", str(pipeline["attributions"]),
                  "--trees", str(wrong), "--out", str(tmp_path / "wrong")])
     assert code == 2
-    assert "sentence CIA-0000-LA:" in capsys.readouterr().err
+    assert f"{wrong}: sentence CIA-0000-LA:" in capsys.readouterr().err
+    assert not (tmp_path / "wrong" / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("render", "words", 5),
+    ("analyze", "prob", "high"),
+])
+def test_malformed_record_is_a_data_error(pipeline, tmp_path, capsys, command, field, value):
+    lines = pipeline["attributions"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, field: value})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([command, "--attributions", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    message = f"{bad}:2: record {record['id']!r}: missing or malformed ['{field}']"
+    assert message in capsys.readouterr().err

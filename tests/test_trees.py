@@ -220,9 +220,22 @@ def test_every_node_is_exactly_the_sum_of_its_children(tree, data):
 # ---------------------------------------------------------------------------
 
 
+def rank_oracle(tree, rows):
+    """Brute-force group ranking: each sentence's subtree scores, summed
+    path by path across the group (the per-path sum ``rank_subtrees`` once
+    kept). Returns (path, fragment, exact total)."""
+    totals, fragments = {}, {}
+    for row in rows:
+        for s in subtree_scores(tree, row):
+            totals[s.path] = totals.get(s.path, Fraction(0)) + s.ligas_exact
+            fragments.setdefault(s.path, s.fragment)
+    candidates = [p for p in totals if p != ()] or [()]
+    best = max(candidates, key=lambda p: (totals[p], -len(p), [-i for i in p]))
+    return best, fragments[best], totals[best]
+
+
 def test_rank_prefers_the_highest_total():
-    scores = subtree_scores(parse_bracketed(ORACLE), ORACLE_SCORES)
-    best = rank_subtrees([scores])
+    best = rank_subtrees(parse_bracketed(ORACLE), [ORACLE_SCORES])
     assert best.path == (0,)  # S at 1.75 beats VP at 1.5
     assert best.fragment == "(S(NP(NN))(VP(VBD))(.))"
     assert best.ligas == 1.75
@@ -231,48 +244,61 @@ def test_rank_prefers_the_highest_total():
 
 def test_rank_never_reports_the_whole_tree():
     # ROOT totals 2.0, more than either child, but is not a candidate
-    scores = subtree_scores(parse_bracketed("(ROOT (A x) (B y))"), [1.0, 1.0])
-    best = rank_subtrees([scores])
+    best = rank_subtrees(parse_bracketed("(ROOT (A x) (B y))"), [[1.0, 1.0]])
     assert best.path == (0,)
     assert best.fragment == "(A)"
 
 
 def test_rank_breaks_ties_shallowest_then_leftmost():
-    scores = subtree_scores(parse_bracketed("(ROOT (A (B x)) (C y))"), [1.0, 1.0])
-    best = rank_subtrees([scores])
+    best = rank_subtrees(parse_bracketed("(ROOT (A (B x)) (C y))"), [[1.0, 1.0]])
     # A, B and C all total 1.0; A and C are shallowest, A is leftmost
     assert best.path == (0,)
     assert best.fragment == "(A(B))"
 
 
 def test_rank_with_opposite_signs():
-    scores = subtree_scores(
-        parse_bracketed("(ROOT (NP (NN it)) (VP (VBD won)))"), [-2.0, 5.0]
-    )
-    best = rank_subtrees([scores])
+    best = rank_subtrees(parse_bracketed("(ROOT (NP (NN it)) (VP (VBD won)))"),
+                         [[-2.0, 5.0]])
     assert best.path == (1,)
     assert best.ligas == 5.0
 
 
 def test_rank_aggregates_across_the_group():
-    pattern = parse_bracketed("(ROOT(A)(B))")
-    one = subtree_scores(pattern, [1.0, 0.0])
-    two = subtree_scores(pattern, [0.0, 2.0])
-    best = rank_subtrees([one, two])
+    best = rank_subtrees(parse_bracketed("(ROOT(A)(B))"), [[1.0, 0.0], [0.0, 2.0]])
     assert best.path == (1,)
     assert best.ligas == 2.0
 
 
 def test_rank_degenerate_single_node_falls_back_to_root():
-    scores = subtree_scores(parse_bracketed("(NN dog)"), [0.5])
-    best = rank_subtrees([scores])
+    best = rank_subtrees(parse_bracketed("(NN dog)"), [[0.5]])
     assert best.path == ()
     assert best.fragment == "(NN)"
 
 
 def test_rank_rejects_empty_group():
     with pytest.raises(DataError, match="empty group"):
-        rank_subtrees([])
+        rank_subtrees(parse_bracketed("(NN dog)"), [])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [1.0]],             # rows differ in length
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],  # rows agree, but not with the tree
+])
+def test_rank_rejects_rows_that_do_not_fit_the_tree(rows):
+    with pytest.raises(DataError, match="every sentence needs 2 word scores"):
+        rank_subtrees(parse_bracketed("(S (NN x) (VB y))"), rows)
+
+
+@given(tree=trees(), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_matches_the_per_path_oracle(tree, data):
+    n = tree.leaf_count()
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    rows = data.draw(st.lists(st.lists(floats, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    best = rank_subtrees(tree, rows)
+    assert (best.path, best.fragment, best.ligas_exact) == rank_oracle(tree, rows)
+    assert best.ligas == float(best.ligas_exact)
 
 
 # ---------------------------------------------------------------------------
