@@ -8,9 +8,15 @@ rules reachable from a scalar output in reverse creation order to fill
 each evaluation's graph is freed by reference counting.
 
 Design constraints kept deliberately tight so every backward rule stays
-auditable: all arithmetic is float64, broadcasting is limited to
-scalar-times-tensor and row-bias addition, a graph is consumed by its
-first backward pass, and no graph is ever reused between evaluations.
+auditable: all arithmetic is float64, a graph is consumed by its first
+backward pass, and no graph is ever reused between evaluations.
+
+Matrix operations act on the last two axes and accept leading batch axes,
+so one graph can carry a stack of same-shape inputs; each batch row is
+computed exactly as it would be on its own. Broadcasting takes three
+forms: a python scalar times a tensor (:func:`scale`), a 1-D bias added
+over the last axis (:func:`add`), and a 2-D weight shared by every batch
+row (:func:`matmul`), whose gradient is summed over the batch.
 """
 
 from __future__ import annotations
@@ -128,24 +134,34 @@ def backward(out: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} do not agree")
-    out = Tensor(a.data @ b.data)
+    """Product over the last two axes.
+
+    ``a`` may carry leading batch axes; ``b`` is then either a 2-D weight
+    shared by every batch row or a stack with the same leading shape.
+    """
     A, B = a.data, b.data
+    if (A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]
+            or B.ndim != 2 and B.shape[:-2] != A.shape[:-2]):
+        raise ShapeError(f"matmul: shapes {A.shape} and {B.shape} do not agree")
+    out = Tensor(A @ B)
+    shared = B.ndim < A.ndim
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(g @ B.T)
+            a.accumulate(g @ B.swapaxes(-1, -2))
         if b.requires_grad:
-            b.accumulate(A.T @ g)
+            if shared:  # one weight for every batch row: sum its row gradients
+                b.accumulate(A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b.accumulate(A.swapaxes(-1, -2) @ g)
 
     return _bind(out, back, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D row bias added to each row of a matrix."""
-    row_bias = a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]
-    if not row_bias and a.data.shape != b.data.shape:
+    """Elementwise sum; also accepts a 1-D bias added over the last axis."""
+    bias = a.data.ndim >= 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[-1]
+    if not bias and a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not agree")
     out = Tensor(a.data + b.data)
 
@@ -153,7 +169,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(g.sum(axis=0) if row_bias else g)
+            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0) if bias else g)
 
     return _bind(out, back, a, b)
 
@@ -312,60 +328,63 @@ def rows(table: Tensor, ids) -> Tensor:
 
 
 def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= lo < hi <= a.data.shape[1]):
+    """Columns ``lo:hi`` of the last axis."""
+    if a.data.ndim < 2 or not (0 <= lo < hi <= a.data.shape[-1]):
         raise ShapeError(f"slice_cols: [{lo}:{hi}] invalid for shape {a.data.shape}")
-    out = Tensor(a.data[:, lo:hi].copy())
+    out = Tensor(a.data[..., lo:hi].copy())
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            acc[:, lo:hi] = g
+            acc[..., lo:hi] = g
             a.accumulate(acc)
 
     return _bind(out, back, a)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
+    """Join along the last axis; every other axis must agree."""
     if not parts:
         raise ShapeError("concat_cols: no operands")
-    m = parts[0].data.shape[0]
+    rows = parts[0].data.shape[:-1]
     for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != m:
-            raise ShapeError(f"concat_cols: row counts differ ({p.data.shape} vs {m} rows)")
-    widths = [p.data.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+        if p.data.ndim < 2 or p.data.shape[:-1] != rows:
+            raise ShapeError(f"concat_cols: row counts differ ({p.data.shape} vs {rows})")
+    widths = [p.data.shape[-1] for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     offsets = np.cumsum([0] + widths)
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p.accumulate(g[:, lo:hi])
+                p.accumulate(g[..., lo:hi])
 
     return _bind(out, back, *parts)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got shape {a.data.shape}")
-    out = Tensor(a.data.T.copy())
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected 2-D or more, got shape {a.data.shape}")
+    out = Tensor(a.data.swapaxes(-1, -2).copy())
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(g.T)
+            a.accumulate(g.swapaxes(-1, -2))
 
     return _bind(out, back, a)
 
 
 def take_row(a: Tensor, i: int) -> Tensor:
-    """Single row of a matrix as a 1-row matrix (used for first-position pooling)."""
-    if a.data.ndim != 2 or not (0 <= i < a.data.shape[0]):
+    """Row ``i`` of the last two axes, kept as a 1-row matrix (first-position pooling)."""
+    if a.data.ndim < 2 or not (0 <= i < a.data.shape[-2]):
         raise ShapeError(f"take_row: row {i} invalid for shape {a.data.shape}")
-    out = Tensor(a.data[i : i + 1].copy())
+    out = Tensor(a.data[..., i : i + 1, :].copy())
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            acc[i : i + 1] = g
+            acc[..., i : i + 1, :] = g
             a.accumulate(acc)
 
     return _bind(out, back, a)

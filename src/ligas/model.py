@@ -2,8 +2,9 @@
 
 The encoder maps token embeddings to acceptability logits through a stack
 of post-norm self-attention blocks, pools the first position, and applies
-a linear head. ``forward_from_embeddings`` is the attribution entry point:
-it exposes the logits as a differentiable function of the embedding matrix.
+a linear head. ``logits_from_embeddings`` is the attribution entry point:
+it exposes the logits as a differentiable function of the embedding matrix,
+or of a stack of them, each row computed as it would be on its own.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _wrap(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
 
 
 def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor, n_heads: int) -> Tensor:
-    d = h.shape[1]
+    d = h.shape[-1]
     dh = d // n_heads
     q = ad.add(ad.matmul(h, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
     k = ad.add(ad.matmul(h, wts[f"{prefix}.wk"]), wts[f"{prefix}.bk"])
@@ -220,26 +221,34 @@ def embed(weights: ModelWeights, token_ids) -> Tensor:
     return _embed(tables, weights.config, list(token_ids))
 
 
+def logits_from_embeddings(weights: ModelWeights, e: Tensor) -> Tensor:
+    """Logits of an ``(n, d)`` embedding matrix as a ``(1, n_classes)`` tensor,
+    or of a ``(K, n, d)`` stack as ``(K, 1, n_classes)``; differentiable
+    with respect to ``e``."""
+    if not np.isfinite(e.data).all():
+        raise NumericError("non-finite values in input embeddings")
+    wts = _wrap(weights, requires_grad=False)
+    return _logits(wts, _encode(wts, weights.config, e))
+
+
+def prediction_of(logits: np.ndarray, probs: np.ndarray) -> Prediction:
+    """The prediction for one row of logits and its softmax."""
+    probs = probs.reshape(-1).copy()
+    return Prediction(logits=logits.reshape(-1).copy(), probs=probs,
+                      predicted_class=argmax_class(probs))
+
+
 def forward_from_embeddings(weights: ModelWeights, e: Tensor) -> Prediction:
     """Run the encoder stack on an embedding matrix and classify.
 
     The returned prediction keeps tensor handles to the logits and
     probabilities so callers can differentiate either with respect to ``e``.
     """
-    if not np.isfinite(e.data).all():
-        raise NumericError("non-finite values in input embeddings")
-    wts = _wrap(weights, requires_grad=False)
-    h = _encode(wts, weights.config, e)
-    logits_t = _logits(wts, h)
+    logits_t = logits_from_embeddings(weights, e)
     probs_t = ad.softmax(logits_t, axis=-1)
-    probs = probs_t.data.reshape(-1).copy()
-    return Prediction(
-        logits=logits_t.data.reshape(-1).copy(),
-        probs=probs,
-        predicted_class=argmax_class(probs),
-        logits_tensor=logits_t,
-        probs_tensor=probs_t,
-    )
+    pred = prediction_of(logits_t.data, probs_t.data)
+    pred.logits_tensor, pred.probs_tensor = logits_t, probs_t
+    return pred
 
 
 def predict(weights: ModelWeights, token_ids) -> Prediction:

@@ -26,6 +26,9 @@ from .errors import DataError
 Path = tuple[int, ...]
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")  # a bracket, or a label or word
+# deepest nesting parse_bracketed accepts; tree walks recurse once per level
+# (generated trees reach depth 6)
+MAX_TREE_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,8 @@ def parse_bracketed(text: str) -> ParseTree:
     """Parse a Penn-style bracketed tree, leafed or pattern form.
 
     Whitespace between tokens is ignored. Errors report the byte offset of
-    the offending position.
+    the offending position. Nesting deeper than ``MAX_TREE_DEPTH`` levels
+    is an error.
     """
     if not text.strip():
         raise DataError("empty tree text")
@@ -93,6 +97,10 @@ def parse_bracketed(text: str) -> ParseTree:
             if open_nodes and open_nodes[-1][2] is not None:
                 raise DataError(
                     f"node {open_nodes[-1][0]}: subtree after leaf word at offset {pos}"
+                )
+            if len(open_nodes) == MAX_TREE_DEPTH:
+                raise DataError(
+                    f"tree nested deeper than {MAX_TREE_DEPTH} levels at offset {pos}"
                 )
             want_label = True
         elif token == ")":

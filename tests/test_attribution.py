@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ligas.attribution
+import ligas.autodiff as ad
+import ligas.model
 from ligas.attribution import (
     IGConfig,
     PathIntegral,
@@ -27,8 +30,10 @@ from ligas.attribution import (
     word_scores,
     write_attributions_jsonl,
 )
+from ligas.autodiff import Tensor
 from ligas.errors import DataError, NumericError, UsageError
-from ligas.model import CLASSES, embed, predict
+from ligas.model import (CLASSES, ModelConfig, embed, forward_from_embeddings, init,
+                         logits_from_embeddings, predict)
 from ligas.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenizedSentence, tokenize
 
 
@@ -233,6 +238,19 @@ def test_each_interpolation_point_is_evaluated_once(rule, extra):
     assert result.baseline_value == float(np.vdot(W, baseline))
 
 
+def test_gradients_are_reduced_in_step_order():
+    # weighted gradients 1, 2^53, -2^53, 0: in step order 1 + 2^53 rounds
+    # to 2^53 and the sum is 0; any other order of the middle terms gives 1
+    big = 4.0 * 2.0**53
+    grad_at = {0.25: 4.0, 0.5: big, 0.75: -big, 1.0: 0.0, 0.0: 0.0}
+
+    def f(e):
+        return 0.0, np.array([[grad_at[float(e[0, 0])]]])
+
+    result = path_integral(f, np.array([[1.0]]), np.zeros((1, 1)), 4, "right")
+    assert result.attributions[0, 0] == 0.0
+
+
 def test_shape_mismatch_is_a_data_error():
     with pytest.raises(DataError, match="shape"):
         path_integral(bilinear_f, np.zeros((1, 2)), np.zeros((2, 2)), 4, "right")
@@ -368,6 +386,130 @@ def test_all_pad_interior_means_no_attribution(trained_model):
     assert att.word_ligas == [0.0, 0.0]
     assert att.sentence_ligas == 0.0
     assert att.completeness_gap == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-point tape
+# ---------------------------------------------------------------------------
+
+
+def per_point_target(weights, target_index: int, target_space: str):
+    """The oracle F: one 2-D tape forward and backward per path point."""
+    def f(e_array):
+        e = Tensor(e_array, requires_grad=True)
+        pred = forward_from_embeddings(weights, e)
+        source = pred.probs_tensor if target_space == "probability" else pred.logits_tensor
+        out = ad.pick(source, target_index)
+        value = out.item()
+        ad.backward(out)
+        return value, ad.grad_of(e)
+
+    return f
+
+
+def per_point_attribution(weights, sentence, cfg):
+    """Integrated gradients point by point: a prediction pass on x, then
+    ``path_integral`` over the oracle F."""
+    ids = list(sentence.token_ids)
+    x = embed(weights, ids)
+    prediction = forward_from_embeddings(weights, x)
+    target_class = cfg.target_class or prediction.predicted_class
+    baseline = make_baseline(weights, ids, cfg.baseline_mode)
+    f = per_point_target(weights, CLASSES.index(target_class), cfg.target_space)
+    return prediction, target_class, path_integral(f, x.data, baseline.data,
+                                                   cfg.steps, cfg.rule)
+
+
+ORACLE_SENTENCES = ("alice chased the ball .", "the dog barks loudly .")
+
+
+def assert_matches_oracle(weights, sent, cfg, att):
+    prediction, target_class, oracle = per_point_attribution(weights, sent, cfg)
+    assert att.per_token.tobytes() == oracle.attributions.tobytes()
+    assert (att.output_value, att.baseline_value) == \
+        (oracle.output_value, oracle.baseline_value)
+    assert att.prediction.logits.tobytes() == prediction.logits.tobytes()
+    assert att.prediction.probs.tobytes() == prediction.probs.tobytes()
+    assert att.prediction.predicted_class == prediction.predicted_class
+    assert att.target_class == target_class
+
+
+@pytest.mark.parametrize("rule", ["left", "right", "trapezoid"])
+@pytest.mark.parametrize("target_space", ["logit", "probability"])
+@pytest.mark.parametrize("baseline_mode", ["pad_embeddings", "zero"])
+def test_chunked_records_are_identical_and_match_the_oracle(
+        trained_model, monkeypatch, rule, target_space, baseline_mode):
+    weights, vocab = trained_model
+    cfg = IGConfig(steps=20, rule=rule, target_space=target_space,
+                   baseline_mode=baseline_mode)  # 21 evaluations per sentence
+    for text in ORACLE_SENTENCES:
+        sent = tokenize(text, vocab)
+        outputs = []
+        for chunk in (1, 7, 16, 21, 64):
+            monkeypatch.setattr(ligas.attribution, "CHUNK_ROWS", chunk)
+            att = integrated_gradients(weights, sent, cfg)
+            outputs.append((att.per_token.tobytes(),
+                            json.dumps(attribution_record("x", "CIA", "LA", att))))
+        assert all(out == outputs[0] for out in outputs)
+        assert_matches_oracle(weights, sent, cfg, att)
+
+
+@pytest.mark.parametrize("target_class", ["LA", "LUA"])
+@pytest.mark.parametrize("rule", ["left", "trapezoid"])
+def test_fixed_target_class_matches_the_oracle(trained_model, target_class, rule):
+    weights, vocab = trained_model
+    cfg = IGConfig(steps=20, rule=rule, target_class=target_class)
+    for text in ORACLE_SENTENCES:
+        sent = tokenize(text, vocab)
+        assert_matches_oracle(weights, sent, cfg, integrated_gradients(weights, sent, cfg))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=6),
+    tokens=st.integers(min_value=1, max_value=8),
+    target=st.integers(min_value=0, max_value=1),
+    space=st.sampled_from(["logit", "probability"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_each_stack_row_is_its_own_2d_pass(seed, rows, tokens, target, space):
+    rng = np.random.default_rng(seed)
+    weights = init(ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=2,
+                               d_ff=12, seed=seed))
+    stack = rng.standard_normal((rows, tokens, 8))
+    e = Tensor(stack, requires_grad=True)
+    logits = logits_from_embeddings(weights, e)
+    probs = ad.softmax(logits, axis=-1)
+    source = probs if space == "probability" else logits
+    ad.backward(ad.sum_all(ad.slice_cols(source, target, target + 1)))
+    f = per_point_target(weights, target, space)
+    for k in range(rows):
+        pred = forward_from_embeddings(weights, Tensor(stack[k]))
+        assert logits.data[k].tobytes() == pred.logits_tensor.data.tobytes()
+        assert probs.data[k].tobytes() == pred.probs_tensor.data.tobytes()
+        value, grad = f(stack[k])
+        assert source.data[k, 0, target] == value
+        assert ad.grad_of(e)[k].tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("rule", ["left", "right", "trapezoid"])
+@pytest.mark.parametrize("m", [1, 15, 16, 64])
+def test_one_forward_and_backward_per_chunk(trained_model, monkeypatch, rule, m):
+    weights, vocab = trained_model
+    calls = {"backward": 0, "encode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ad, "backward", counted("backward", ad.backward))
+    monkeypatch.setattr(ligas.model, "_encode", counted("encode", ligas.model._encode))
+    integrated_gradients(weights, tokenize("the cat slept .", vocab),
+                         IGConfig(steps=m, rule=rule))
+    chunks = math.ceil((m + 1) / 16)  # m + 1 evaluations: every rule needs F(x) and F(x')
+    assert calls == {"backward": chunks, "encode": chunks}  # no separate prediction pass
 
 
 # ---------------------------------------------------------------------------

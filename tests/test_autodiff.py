@@ -68,6 +68,15 @@ def test_matmul_gradients(case):
     check_primitive(lambda t, b=b: weighted_sum(ad.matmul(t, Tensor(b)), seeded(case)), a)
     # and the right
     check_primitive(lambda t, a=a: weighted_sum(ad.matmul(Tensor(a), t), seeded(case)), b)
+    # a stack times a shared weight, whose gradient sums over the stack
+    batch = int(rng.integers(1, 4))
+    stack = rng.standard_normal((batch, m, k))
+    check_primitive(lambda t: weighted_sum(ad.matmul(t, Tensor(b)), seeded(case)), stack)
+    check_primitive(lambda t: weighted_sum(ad.matmul(Tensor(stack), t), seeded(case)), b)
+    # a stack times a stack, row by row
+    rights = rng.standard_normal((batch, k, n))
+    check_primitive(lambda t: weighted_sum(ad.matmul(t, Tensor(rights)), seeded(case)), stack)
+    check_primitive(lambda t: weighted_sum(ad.matmul(Tensor(stack), t), seeded(case)), rights)
 
 
 @pytest.mark.parametrize("case", range(N_CONFIGS))
@@ -87,6 +96,10 @@ def test_add_sub_mul_scale_gradients(case):
     check_primitive(lambda t: weighted_sum(ad.sub(Tensor(a), t), seeded(case)), b)
     check_primitive(lambda t: weighted_sum(ad.mul(t, Tensor(b)), seeded(case)), a)
     check_primitive(lambda t: weighted_sum(ad.scale(t, factor), seeded(case)), a)
+    # a bias over the last axis of a stack
+    stack = rng.standard_normal((int(rng.integers(1, 4)),) + shape)
+    check_primitive(lambda t: weighted_sum(ad.add(t, Tensor(bias)), seeded(case)), stack)
+    check_primitive(lambda t: weighted_sum(ad.add(Tensor(stack), t), seeded(case)), bias)
 
 
 @pytest.mark.parametrize("case", range(N_CONFIGS))
@@ -147,6 +160,18 @@ def test_structural_op_gradients(case):
             seeded(case),
         ),
         x,
+    )
+    # the same ops on a stack act on its last two axes
+    stack = rng.standard_normal((int(rng.integers(1, 4)), m, n))
+    check_primitive(lambda t: weighted_sum(ad.slice_cols(t, lo, hi), seeded(case)), stack)
+    check_primitive(lambda t: weighted_sum(ad.transpose(t), seeded(case)), stack)
+    check_primitive(lambda t: weighted_sum(ad.take_row(t, row), seeded(case)), stack)
+    check_primitive(
+        lambda t: weighted_sum(
+            ad.concat_cols([ad.slice_cols(t, lo, hi), ad.slice_cols(t, 0, lo + 1)]),
+            seeded(case),
+        ),
+        stack,
     )
 
 
@@ -260,6 +285,9 @@ def test_shape_errors_name_both_shapes():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="add"):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    # stacks must share their leading shape
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
 
 
 def test_check_finite_names_location():

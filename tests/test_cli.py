@@ -13,8 +13,8 @@ import pytest
 import ligas.cli
 from ligas.attribution import read_attributions_jsonl
 from ligas.cli import main
-from ligas.trees import read_trees, to_pattern
-from test_trees import rank_oracle
+from ligas.trees import MAX_TREE_DEPTH, read_trees, to_pattern
+from test_trees import nested, rank_oracle
 
 TINY_TRAIN = [
     "--vocab-size", "128", "--d-model", "16", "--n-heads", "2",
@@ -382,6 +382,37 @@ def test_analyze_rejects_misaligned_trees(pipeline, tmp_path, capsys):
     assert code == 2
     assert f"{wrong}: sentence CIA-0000-LA:" in capsys.readouterr().err
     assert not (tmp_path / "wrong" / "stats.csv").exists()
+
+
+def _one_word_inputs(tmp_path, depth):
+    """An attributions file with one one-word record, and a trees file whose
+    tree for it is ``depth`` levels deep."""
+    record = {"id": "SVA-0000-LA", "category": "SVA", "gold": "LA", "predicted": "LA",
+              "prob": 0.75, "sentence_ligas": 0.5, "completeness_gap": 0.0,
+              "words": [{"text": "x", "ligas": 0.5}]}
+    attributions = tmp_path / "one.jsonl"
+    attributions.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    trees = tmp_path / "deep_trees.tsv"
+    trees.write_text("SVA-0000-LA\t" + nested(depth) + "\n", encoding="utf-8")
+    return attributions, trees
+
+
+def test_over_deep_tree_is_a_data_error(tmp_path, capsys):
+    attributions, trees = _one_word_inputs(tmp_path, 1500)
+    code = main(["analyze", "--attributions", str(attributions), "--trees", str(trees),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{trees}:1: tree nested deeper than {MAX_TREE_DEPTH} levels" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tree_at_the_depth_limit_is_analyzed(tmp_path):
+    attributions, trees = _one_word_inputs(tmp_path, MAX_TREE_DEPTH)
+    assert main(["analyze", "--attributions", str(attributions), "--trees", str(trees),
+                 "--out", str(tmp_path / "out")]) == 0
+    ranks = (tmp_path / "out" / "subtree_ranks.csv").read_text(encoding="utf-8")
+    assert ranks.splitlines()[-1].startswith("SVA,LA,(A(A(A")
 
 
 @pytest.mark.parametrize("command,field,value", [

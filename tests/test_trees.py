@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ligas.errors import DataError
 from ligas.trees import (
+    MAX_TREE_DEPTH,
     ParseTree,
     align,
     mine_patterns,
@@ -93,6 +94,21 @@ def test_same_shape_different_words_share_a_pattern():
 def test_parse_errors_report_the_offset(text, message):
     with pytest.raises(DataError, match=message):
         parse_bracketed(text)
+
+
+def nested(depth: int) -> str:
+    """A one-word tree ``depth`` levels deep: (A (A ... (NN x)))."""
+    return "(A " * (depth - 1) + "(NN x)" + ")" * (depth - 1)
+
+
+def test_nesting_is_limited():
+    tree = parse_bracketed(nested(MAX_TREE_DEPTH))
+    assert to_pattern(tree).count("(") == MAX_TREE_DEPTH
+    assert tree.leaves() == ["x"]
+    offset = 3 * MAX_TREE_DEPTH  # the '(' that opens one level too many
+    with pytest.raises(DataError, match=f"deeper than {MAX_TREE_DEPTH} levels "
+                                        f"at offset {offset}$"):
+        parse_bracketed(nested(MAX_TREE_DEPTH + 1))
 
 
 def test_node_cannot_mix_children_and_word():
