@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Iterable
 
-from .config import CATEGORIES
+from .config import CATEGORIES, write_artifact
 from .errors import DataError
 from .model import CLASSES
 
@@ -116,9 +116,7 @@ def write_stats_csv(path: str, stats: list[CategoryStats],
                     mean_abs: dict[str, float | None] | None = None,
                     comment: str | None = None) -> None:
     agg = aggregate_mc_positive(stats)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+    with write_artifact(path, comment) as fh:
         fh.write("category,C,CC,MC,CCplus,CCminus,MCplus,MCminus,CCplus_pct,MCplus_pct\n")
         for s in stats:
             fh.write(
@@ -161,9 +159,7 @@ def scatter_tables(records: Iterable[tuple[float, float, str]]
 
 def write_scatter_csv(path: str, rows: list[tuple[float, float]],
                       comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+    with write_artifact(path, comment) as fh:
         fh.write("prob,ligas\n")
         for prob, ligas in rows:
             fh.write(f"{prob!r},{ligas!r}\n")

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import write_artifact
 from .errors import DataError, NumericError, UsageError
 from .model import (CLASSES, ModelWeights, Prediction, embed, logits_from_embeddings,
                     prediction_of)
@@ -314,7 +315,7 @@ def attribution_record(sentence_id: str, category: str, gold: str,
 def write_attributions_jsonl(path: str, records: Iterable[dict],
                              header: dict | None = None) -> None:
     """One JSON object per line; an optional id-less header object leads."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_artifact(path) as fh:
         if header is not None:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
         for record in records:

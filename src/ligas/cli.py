@@ -30,7 +30,7 @@ from .attribution import (
     read_attributions_jsonl,
     write_attributions_jsonl,
 )
-from .config import CATEGORIES, config_digest, parse_config_file
+from .config import CATEGORIES, config_digest, parse_config_file, write_artifact
 from .corpus import (
     generate_all,
     generate_synthetic,
@@ -38,7 +38,7 @@ from .corpus import (
     split,
     write_corpus_tsv,
 )
-from .errors import DataError, LigasError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -183,9 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except LigasError as exc:  # pragma: no cover - future subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:  # unreadable/missing files are data problems
         print(f"data error: {exc}", file=sys.stderr)
         return 2
@@ -240,10 +237,11 @@ def cmd_train(args) -> int:
     sentences = read_corpus_tsv(args.corpus)
     if not sentences:
         raise DataError(f"{args.corpus}: no sentences")
-    if args.holdout is not None:
-        train_set, test_set = split(sentences, 1.0 - args.holdout, args.seed)
-    else:
-        train_set, test_set = sentences, []
+    try:  # split and train report corpus problems without naming the file
+        train_set, test_set = (split(sentences, 1.0 - args.holdout, args.seed)
+                               if args.holdout is not None else (sentences, []))
+    except DataError as exc:
+        raise DataError(f"{args.corpus}: {exc}") from exc
 
     vocab = build_vocab([s.text for s in train_set], args.vocab_size)
     cfg = ModelConfig(
@@ -259,14 +257,16 @@ def cmd_train(args) -> int:
     train_examples, test_examples = examples(train_set), examples(test_set)
     weights = init(cfg)
     weights.vocab = vocab
-    trained, trace = train(
-        weights, train_examples,
-        TrainConfig(lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed),
-    )
+    try:
+        trained, trace = train(
+            weights, train_examples,
+            TrainConfig(lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed),
+        )
+    except DataError as exc:
+        raise DataError(f"{args.corpus}: {exc}") from exc
     save_weights(trained, args.out)
     test_acc = accuracy(trained, test_examples) if test_examples else None
-    with open(args.out + ".loss.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# ligas train config_digest={digest}\n")
+    with write_artifact(args.out + ".loss.csv", f"ligas train config_digest={digest}") as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(trace.epoch_losses):
             fh.write(f"{epoch},{loss!r}\n")
@@ -337,8 +337,7 @@ def cmd_analyze(args) -> int:
     for name, rows, color in (("cc", cc_rows, "#2f7d32"), ("mc", mc_rows, "#c62828")):
         write_scatter_csv(os.path.join(args.out, f"scatter_{name}.csv"), rows, comment)
         svg = render_scatter_svg(rows, f"{name.upper()} sentences", color)
-        with open(os.path.join(args.out, f"scatter_{name}.svg"), "w",
-                  encoding="utf-8", newline="\n") as fh:
+        with write_artifact(os.path.join(args.out, f"scatter_{name}.svg")) as fh:
             fh.write(f"<!-- {comment} -->\n")
             fh.write(svg)
 
@@ -360,9 +359,7 @@ def cmd_analyze(args) -> int:
     for r, tree in matched:
         key = (r["category"], r["gold"], to_pattern(tree))
         groups.setdefault(key, (tree, []))[1].append([w["ligas"] for w in r["words"]])
-    with open(os.path.join(args.out, "subtree_ranks.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n")
+    with write_artifact(os.path.join(args.out, "subtree_ranks.csv"), comment) as fh:
         fh.write("category,label,pattern,count,subtree_path,subtree,ligas\n")
         for key in sorted(groups):
             category, label, pattern = key
@@ -388,7 +385,7 @@ def cmd_render(args) -> int:
         if missing:
             raise DataError(f"ids not present in attributions: {', '.join(missing)}")
         records = [by_id[i] for i in wanted]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with write_artifact(args.out) as fh:
         fh.write("<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
                  "<title>attribution heatmaps</title>\n</head>\n<body>\n")
         fh.write(f"<!-- ligas render config_digest={digest} -->\n")

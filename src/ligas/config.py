@@ -1,4 +1,4 @@
-"""Reproducibility plumbing: seed sub-streams, config files, digests.
+"""Reproducibility plumbing: seed sub-streams, config files, digests, artifact writes.
 
 All randomness in the pipeline flows from one 64-bit seed. Each consumer
 draws from a named sub-stream so that, say, adding an extra generator call
@@ -8,6 +8,8 @@ cannot shift the training shuffle.
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,3 +61,22 @@ def config_digest(values: dict[str, object]) -> str:
     """
     canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+@contextmanager
+def write_artifact(path: str, comment: str | None = None, binary: bool = False):
+    """Yield ``<path>.<pid>.tmp`` (UTF-8 and LF, led by ``# comment``; or bytes) and
+    replace ``path`` with it when the block completes. On any exception, interrupts
+    included, the temp file is removed and ``path`` keeps its bytes, or stays absent."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8",
+                  newline=None if binary else "\n") as fh:
+            if comment:
+                fh.write(f"# {comment}\n")
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CATEGORIES, stream_rng
+from .config import CATEGORIES, stream_rng, write_artifact
 from .errors import DataError
 from .tokenizer import split_words
 from .trees import ParseTree, align
@@ -225,9 +225,7 @@ _LABELS = {"LA": LA, "LUA": LUA, "1": LA, "0": LUA}
 
 def write_corpus_tsv(path: str, sentences: list[LabeledSentence],
                      comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+    with write_artifact(path, comment) as fh:
         fh.write("\t".join(_HEADER) + "\n")
         for s in sentences:
             fh.write(f"{s.id}\t{s.category}\t{s.gold}\t{s.text}\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import config_digest, stream_rng
+from .config import config_digest, stream_rng, write_artifact
 from .errors import DataError, NumericError, UsageError
 from .tokenizer import Vocabulary
 
@@ -278,11 +278,9 @@ class TrainTrace:
     final_accuracy: float
 
 
-def _class_index(label) -> int:
+def _class_index(label: str) -> int:
     if label in CLASSES:
         return CLASSES.index(label)
-    if label in (0, 1):
-        return int(label)
     raise DataError(f"unknown class label {label!r}")
 
 
@@ -296,7 +294,7 @@ def _sentence_loss(wts: dict[str, Tensor], cfg: ModelConfig, ids: list[int],
     return ad.sub(lse, ad.pick(logits, label_idx))
 
 
-def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
+def train(weights: ModelWeights, corpus: list[tuple[list[int], str]],
           hyper: TrainConfig) -> tuple[ModelWeights, TrainTrace]:
     """Adam on cross-entropy; deterministic given the shuffle seed.
 
@@ -353,10 +351,10 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], object]],
         epoch_losses.append(loss_sum / len(examples))
 
     trained = ModelWeights(cfg, arrays, weights.vocab)
-    return trained, TrainTrace(epoch_losses, accuracy(trained, examples))
+    return trained, TrainTrace(epoch_losses, accuracy(trained, corpus))
 
 
-def accuracy(weights: ModelWeights, corpus: list[tuple[list[int], object]]) -> float:
+def accuracy(weights: ModelWeights, corpus: list[tuple[list[int], str]]) -> float:
     examples = [(list(ids), _class_index(label)) for ids, label in corpus]
     if not examples:
         raise DataError("accuracy: empty corpus")
@@ -396,7 +394,7 @@ def save_weights(weights: ModelWeights, path: str) -> None:
     if weights.vocab is not None:
         header["vocab"] = weights.vocab.tokens
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_artifact(path, binary=True) as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)

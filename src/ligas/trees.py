@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .config import write_artifact
 from .errors import DataError
 
 Path = tuple[int, ...]
@@ -284,9 +285,7 @@ def mine_patterns(records: Iterable[tuple[ParseTree, str, str, float]]) -> list[
 def write_trees(path: str, items: Iterable[tuple[str, ParseTree]],
                 comment: str | None = None) -> None:
     """One record per line: ``id<TAB>leafed-bracketed-tree``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+    with write_artifact(path, comment) as fh:
         for sent_id, tree in items:
             fh.write(f"{sent_id}\t{render_leafed(tree)}\n")
 
@@ -312,9 +311,7 @@ def read_trees(path: str) -> dict[str, ParseTree]:
 
 def write_patterns_csv(path: str, rows: Iterable[PatternRow],
                        comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+    with write_artifact(path, comment) as fh:
         fh.write("pattern,category,label,count,ligas\n")
         for r in rows:
             fh.write(f"{r.pattern},{r.category},{r.label},{r.count},{r.ligas!r}\n")

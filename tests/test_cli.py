@@ -269,6 +269,26 @@ def test_over_length_sentence_in_train_names_it(pipeline, tmp_path, capsys):
     assert not (tmp_path / "w.bin").exists()
 
 
+@pytest.mark.parametrize("keep, holdout, fragment", [
+    (lambda line: not line.startswith("CIA-0000-"), ["--holdout", "0.5"],
+     "stratum ('CIA', 'LA') has 1 sentence(s)"),
+    (lambda line: "\tLUA\t" not in line, [], "corpus must contain both LA and LUA"),
+], ids=["stratum", "one_label"])
+def test_train_corpus_errors_name_the_corpus(pipeline, tmp_path, capsys, keep, holdout,
+                                             fragment):
+    corpus = tmp_path / "odd.tsv"
+    lines = (pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+    corpus.write_text("".join(l + "\n" for l in lines[:2] + list(filter(keep, lines[2:]))),
+                      encoding="utf-8")
+    code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "w.bin"),
+                 *holdout, *TINY_TRAIN])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data error: {corpus}: " in err
+    assert fragment in err
+    assert not (tmp_path / "w.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------

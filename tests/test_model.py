@@ -15,6 +15,7 @@ from ligas.model import (
     ModelConfig,
     ModelWeights,
     TrainConfig,
+    accuracy,
     argmax_class,
     embed,
     forward_from_embeddings,
@@ -203,6 +204,16 @@ def test_training_validates_corpus():
         train(weights, [([2, 3], "LA")], TrainConfig())
     with pytest.raises(DataError, match="max_seq_len"):
         train(weights, [([2] * 13, "LA"), ([2, 3], "LUA")], TrainConfig())
+
+
+@pytest.mark.parametrize("label", [1, 0, True])
+def test_training_takes_only_la_and_lua_labels(label):
+    # labels are the strings LA/LUA: an int is ambiguous, as CoLA's "1" means LA
+    corpus = [([2, 3], "LA"), ([2, 4], "LUA"), ([2, 5], label)]
+    with pytest.raises(DataError, match=f"unknown class label {label!r}"):
+        train(init(SMALL), corpus, TrainConfig(epochs=1, batch=2, seed=0))
+    with pytest.raises(DataError, match=f"unknown class label {label!r}"):
+        accuracy(init(SMALL), corpus)
 
 
 @pytest.mark.parametrize("bad_id", [SMALL.vocab_size, -1])
