@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -79,27 +78,23 @@ def interpolation_points(m: int, rule: str) -> list[tuple[float, float]]:
     """The (alpha_k, weight_k) table for an m-step quadrature rule.
 
     Weights are produced as consecutive differences of correctly rounded
-    cumulative fractions, so their compensated sum is exactly 1.0.
+    cumulative fractions (int / int rounds correctly), so their compensated
+    sum is exactly 1.0.
     """
     if m < 1:
         raise UsageError(f"interpolation_points: m must be >= 1, got {m}")
     if rule == "right":
         alphas = [k / m for k in range(1, m + 1)]
-        cumulative = [Fraction(k, m) for k in range(1, m + 1)]
+        cumulative = alphas
     elif rule == "left":
         alphas = [(k - 1) / m for k in range(1, m + 1)]
-        cumulative = [Fraction(k, m) for k in range(1, m + 1)]
+        cumulative = [k / m for k in range(1, m + 1)]
     elif rule == "trapezoid":
         alphas = [k / m for k in range(0, m + 1)]
-        cumulative = [Fraction(2 * k + 1, 2 * m) for k in range(0, m)] + [Fraction(1)]
+        cumulative = [(2 * k + 1) / (2 * m) for k in range(0, m)] + [1.0]
     else:
         raise UsageError(f"unknown quadrature rule {rule!r}; expected one of {RULES}")
-    weights = []
-    prev = 0.0
-    for c in cumulative:
-        value = float(c)
-        weights.append(value - prev)
-        prev = value
+    weights = [c - prev for c, prev in zip(cumulative, [0.0] + cumulative)]
     return list(zip(alphas, weights))
 
 

@@ -24,6 +24,9 @@ from .analysis import (
     write_stats_csv,
 )
 from .attribution import (
+    BASELINE_MODES,
+    RULES,
+    TARGET_SPACES,
     IGConfig,
     attribution_record,
     integrated_gradients,
@@ -40,6 +43,7 @@ from .corpus import (
 )
 from .errors import DataError, NumericError, UsageError
 from .model import (
+    CLASSES,
     ModelConfig,
     TrainConfig,
     accuracy,
@@ -49,15 +53,11 @@ from .model import (
     train,
 )
 from .tokenizer import build_vocab, tokenize
-from .trees import (
-    align,
-    mine_patterns,
-    rank_subtrees,
-    read_trees,
-    to_pattern,
-    write_patterns_csv,
-    write_trees,
-)
+from .trees import align, mine_patterns, read_trees, write_patterns_csv, write_trees
+
+# arguments that name files; the settings digest leaves them out so that runs
+# differing only in where they read and write produce identical bytes
+_PATH_ARGS = ("config", "corpus", "out", "weights", "attributions", "trees")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,10 +102,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     a.add_argument("--corpus", required=True)
     a.add_argument("--weights", required=True)
     a.add_argument("--steps", type=int, default=64)
-    a.add_argument("--rule", default="trapezoid", choices=("left", "right", "trapezoid"))
-    a.add_argument("--baseline", default="pad_embeddings", choices=("pad_embeddings", "zero"))
-    a.add_argument("--target-space", default="logit", choices=("logit", "probability"))
-    a.add_argument("--target-class", default=None, choices=("LA", "LUA"))
+    a.add_argument("--rule", default="trapezoid", choices=RULES)
+    a.add_argument("--baseline", default="pad_embeddings", choices=BASELINE_MODES)
+    a.add_argument("--target-space", default="logit", choices=TARGET_SPACES)
+    a.add_argument("--target-class", default=None, choices=CLASSES)
     a.add_argument("--out", required=True, help="attributions JSONL path")
 
     n = command("analyze", "sign statistics, scatter export, pattern mining")
@@ -204,11 +204,13 @@ def _tokenize_within(sentence, vocab, max_seq_len: int, corpus_path: str):
     return tokenized
 
 
+def _settings_digest(args) -> str:
+    """Digest of the parsed arguments, file paths left out."""
+    return config_digest({k: v for k, v in vars(args).items() if k not in _PATH_ARGS})
+
+
 def cmd_gen(args) -> int:
-    digest = config_digest({
-        "command": "gen", "category": args.category,
-        "pairs": args.pairs, "seed": args.seed,
-    })
+    digest = _settings_digest(args)
     if args.category == "all":
         sentences = generate_all(args.pairs, args.seed)
     else:
@@ -225,15 +227,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     if args.holdout is not None and not (0.0 < args.holdout < 1.0):
         raise UsageError(f"--holdout must be in (0, 1), got {args.holdout}")
-    settings = {
-        "command": "train", "vocab_size": args.vocab_size,
-        "d_model": args.d_model, "n_heads": args.n_heads,
-        "n_layers": args.n_layers, "d_ff": args.d_ff,
-        "max_seq_len": args.max_seq_len, "lr": args.lr,
-        "epochs": args.epochs, "batch": args.batch,
-        "holdout": args.holdout, "seed": args.seed,
-    }
-    digest = config_digest(settings)
+    digest = _settings_digest(args)
     sentences = read_corpus_tsv(args.corpus)
     if not sentences:
         raise DataError(f"{args.corpus}: no sentences")
@@ -243,7 +237,9 @@ def cmd_train(args) -> int:
     except DataError as exc:
         raise DataError(f"{args.corpus}: {exc}") from exc
 
-    vocab = build_vocab([s.text for s in train_set], args.vocab_size)
+    # every sentence's text, so held-out words tokenize as whole words too;
+    # labels never enter the vocabulary
+    vocab = build_vocab([s.text for s in sentences], args.vocab_size)
     cfg = ModelConfig(
         vocab_size=len(vocab), d_model=args.d_model, n_heads=args.n_heads,
         n_layers=args.n_layers, d_ff=args.d_ff, max_seq_len=args.max_seq_len,
@@ -304,17 +300,15 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    digest = config_digest({"command": "analyze"})
+    digest = _settings_digest(args)
     comment = f"ligas analyze config_digest={digest}"
     _, records = read_attributions_jsonl(args.attributions)
     matched = []
-    skipped = 0
     if args.trees is not None:  # checked before any report is written
         trees = read_trees(args.trees)
         for r in records:
             tree = trees.get(r["id"])
             if tree is None:
-                skipped += 1
                 continue
             try:
                 align(tree, [w["text"] for w in r["words"]])
@@ -346,35 +340,29 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         print(f"wrote stats and scatter reports to {args.out}")
         return 0
+    skipped = len(records) - len(matched)
     if skipped:
         print(f"warning: {skipped} sentence(s) have no tree; "
               f"skipped in pattern reports", file=sys.stderr)
 
     rows = mine_patterns(
-        (tree, r["category"], r["gold"], r["sentence_ligas"]) for r, tree in matched
+        (tree, r["category"], r["gold"], r["sentence_ligas"], [w["ligas"] for w in r["words"]])
+        for r, tree in matched
     )
     write_patterns_csv(os.path.join(args.out, "patterns.csv"), rows, comment)
-
-    groups: dict[tuple[str, str, str], tuple] = {}  # key -> (tree, word-score rows)
-    for r, tree in matched:
-        key = (r["category"], r["gold"], to_pattern(tree))
-        groups.setdefault(key, (tree, []))[1].append([w["ligas"] for w in r["words"]])
     with write_artifact(os.path.join(args.out, "subtree_ranks.csv"), comment) as fh:
         fh.write("category,label,pattern,count,subtree_path,subtree,ligas\n")
-        for key in sorted(groups):
-            category, label, pattern = key
-            tree, group = groups[key]
-            ranked = rank_subtrees(tree, group)
-            path = ".".join(str(i) for i in ranked.path)
-            fh.write(f"{category},{label},{pattern},{len(group)},"
-                     f"{path},{ranked.fragment},{ranked.ligas!r}\n")
+        for row in sorted(rows, key=lambda r: (r.category, r.label, r.pattern)):
+            path = ".".join(str(i) for i in row.best.path)
+            fh.write(f"{row.category},{row.label},{row.pattern},{row.count},"
+                     f"{path},{row.best.fragment},{row.best.ligas!r}\n")
 
     print(f"wrote analysis reports to {args.out}")
     return 0
 
 
 def cmd_render(args) -> int:
-    digest = config_digest({"command": "render", "ids": args.ids})
+    digest = _settings_digest(args)
     _, records = read_attributions_jsonl(args.attributions)
     if args.ids != "all":
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]

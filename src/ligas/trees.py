@@ -188,40 +188,35 @@ def subtree_scores(tree: ParseTree,
                    word_ligas: list[float] | list[Fraction]) -> list[SubtreeScore]:
     """One score per labeled node, preorder: the exact sum of the word
     scores under that node, built bottom-up as the sum of its children's
-    scores. Works for leafed trees and bare patterns alike (leaf slots are
-    matched to words positionally). The word scores may be floats or exact
-    ``Fraction`` totals, such as a group's per-position sums."""
+    scores, with the node's pattern built from its children's patterns in
+    the same walk. Works for leafed trees and bare patterns alike (leaf
+    slots are matched to words positionally). The word scores may be floats
+    or exact ``Fraction`` totals, such as a group's per-position sums."""
     if tree.leaf_count() != len(word_ligas):
         raise DataError(
             f"subtree_scores: tree has {tree.leaf_count()} leaves but "
             f"{len(word_ligas)} word scores were given"
         )
     words = iter(word_ligas)
-    out: list[SubtreeScore] = []
+    out: list = []
 
-    def visit(node: ParseTree, path: Path) -> Fraction:
+    def visit(node: ParseTree, path: Path) -> SubtreeScore:
+        slot = len(out)
+        out.append(None)  # reserved, so a node precedes its children
         if node.is_leaf_slot:
-            score = Fraction(next(words))
+            fragment, score = f"({node.label})", Fraction(next(words))
         else:
-            score = sum((visit(child, path + (i,)) for i, child in enumerate(node.children)),
-                        Fraction(0))
-        out.append(SubtreeScore(path, to_pattern(node), score))
-        return score
+            kids = [visit(child, path + (i,)) for i, child in enumerate(node.children)]
+            fragment = f"({node.label}{''.join(k.fragment for k in kids)})"
+            score = sum((k.ligas_exact for k in kids), Fraction(0))
+        out[slot] = SubtreeScore(path, fragment, score)
+        return out[slot]
 
     visit(tree, ())
-    out.sort(key=lambda s: s.path)
     return out
 
 
-@dataclass(frozen=True)
-class RankedSubtree:
-    path: Path
-    fragment: str
-    ligas: float
-    ligas_exact: Fraction
-
-
-def rank_subtrees(tree: ParseTree, group: list[list[float]]) -> RankedSubtree:
+def rank_subtrees(tree: ParseTree, group: list[list[float]]) -> SubtreeScore:
     """The subtree position with maximal LIGAS aggregated across a group of
     same-pattern sentences.
 
@@ -241,8 +236,7 @@ def rank_subtrees(tree: ParseTree, group: list[list[float]]) -> RankedSubtree:
     totals = [sum(map(Fraction, column)) for column in zip(*group)]
     scores = subtree_scores(tree, totals)
     candidates = scores[1:] or scores  # preorder: the root comes first
-    best = max(candidates, key=lambda s: (s.ligas_exact, -s.depth, [-i for i in s.path]))
-    return RankedSubtree(best.path, best.fragment, best.ligas, best.ligas_exact)
+    return max(candidates, key=lambda s: (s.ligas_exact, -s.depth, [-i for i in s.path]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +251,29 @@ class PatternRow:
     label: str
     count: int
     ligas: float
+    best: SubtreeScore  # the group's top-ranked subtree (``rank_subtrees``)
 
 
-def mine_patterns(records: Iterable[tuple[ParseTree, str, str, float]]) -> list[PatternRow]:
-    """Group sentences by (category, label, pattern) and sum their LIGAS.
+def mine_patterns(
+    records: Iterable[tuple[ParseTree, str, str, float, list[float]]],
+) -> list[PatternRow]:
+    """Group sentences by (category, label, pattern), sum their LIGAS and
+    rank each group's subtrees.
 
-    ``records`` yields (tree, category, gold label, sentence_ligas). Rows
-    are sorted per (category, label) by count descending, then pattern
-    string.
+    ``records`` yields (tree, category, gold label, sentence_ligas,
+    word_ligas). A group keeps its first tree, which every member shares up
+    to leaf words. Rows are sorted per (category, label) by count
+    descending, then pattern string.
     """
-    buckets: dict[tuple[str, str, str], list[float]] = {}
-    for tree, category, label, ligas in records:
-        key = (category, label, to_pattern(tree))
-        buckets.setdefault(key, []).append(ligas)
-    rows = []
-    for (category, label, pattern), values in buckets.items():
-        rows.append(PatternRow(pattern, category, label, len(values), math.fsum(values)))
+    groups: dict[tuple[str, str, str], tuple[ParseTree, list[float], list[list[float]]]] = {}
+    for tree, category, label, ligas, word_ligas in records:
+        _, values, word_rows = groups.setdefault(
+            (category, label, to_pattern(tree)), (tree, [], []))
+        values.append(ligas)
+        word_rows.append(word_ligas)
+    rows = [PatternRow(pattern, category, label, len(values), math.fsum(values),
+                       rank_subtrees(tree, word_rows))
+            for (category, label, pattern), (tree, values, word_rows) in groups.items()]
     rows.sort(key=lambda r: (r.category, r.label, -r.count, r.pattern))
     return rows
 

@@ -103,6 +103,58 @@ def test_every_text_artifact_declares_a_digest(pipeline):
     assert b"config_digest" in pipeline["weights"].read_bytes()[:4096]
 
 
+# base argv per command: required arguments only, every other flag at its default
+DIGEST_ARGV = {
+    "gen": ["gen", "--out", "d"],
+    "train": ["train", "--corpus", "c.tsv", "--out", "w.bin"],
+    "analyze": ["analyze", "--attributions", "a.jsonl", "--trees", "t.tsv", "--out", "r"],
+    "render": ["render", "--attributions", "a.jsonl", "--out", "h.html"],
+}
+
+
+def _other_value(action, current):
+    """A command-line value for ``action`` that differs from ``current``."""
+    if action.choices:
+        return next(c for c in action.choices if c != current)
+    if action.type in (int, float):
+        return str(1 if current is None else current + 1)
+    return f"other-{current}"
+
+
+@pytest.mark.parametrize("command", sorted(DIGEST_ARGV))
+def test_digest_follows_every_setting_and_no_path(command):
+    parser, commands = ligas.cli.build_parser()
+    base = DIGEST_ARGV[command]
+    args = parser.parse_args(base)
+    digest = ligas.cli._settings_digest(args)
+    for action in commands[command]._actions:
+        if action.dest == "help":
+            continue
+        flag = action.option_strings[-1]
+        if action.dest in ligas.cli._PATH_ARGS:
+            changed = parser.parse_args(base + [flag, "elsewhere/file"])
+            assert ligas.cli._settings_digest(changed) == digest, flag
+        else:
+            value = _other_value(action, getattr(args, action.dest))
+            changed = parser.parse_args(base + [flag, value])
+            assert ligas.cli._settings_digest(changed) != digest, flag
+
+
+def test_written_digests_are_the_settings_digests(pipeline, tmp_path):
+    parser, _ = ligas.cli.build_parser()
+    out = tmp_path / "gen"
+    argv = ["gen", "--pairs", "1", "--seed", "3", "--category", "SVA", "--out", str(out)]
+    assert main(argv) == 0
+    digest = ligas.cli._settings_digest(parser.parse_args(argv))
+    for name in ("corpus.tsv", "trees.tsv"):
+        first = (out / name).read_text(encoding="utf-8").splitlines()[0]
+        assert first == f"# ligas gen config_digest={digest}"
+    argv = ["analyze", "--attributions", "a", "--trees", "t", "--out", "o"]
+    digest = ligas.cli._settings_digest(parser.parse_args(argv))
+    first = (pipeline["out"] / "patterns.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert first == f"# ligas analyze config_digest={digest}"
+
+
 def test_attribution_records_cover_the_corpus(pipeline):
     lines = pipeline["attributions"].read_text(encoding="utf-8").splitlines()
     records = [json.loads(l) for l in lines[1:]]
@@ -152,6 +204,29 @@ def test_subtree_ranks_match_the_per_path_oracle(pipeline):
                         f"{'.'.join(map(str, path))},{fragment},{float(total)!r}")
     lines = (pipeline["out"] / "subtree_ranks.csv").read_text(encoding="utf-8").splitlines()
     assert lines[2:] == expected
+
+
+def test_analyze_builds_each_pattern_once_per_record(pipeline, tmp_path, monkeypatch):
+    import ligas.trees
+
+    real, roots, depth = ligas.trees.to_pattern, [], [0]
+
+    def counting(tree):  # to_pattern recurses through this name; count whole trees
+        if not depth[0]:
+            roots.append(tree)
+        depth[0] += 1
+        try:
+            return real(tree)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ligas.trees, "to_pattern", counting)
+    out = tmp_path / "counted"
+    assert main(["analyze", "--attributions", str(pipeline["attributions"]),
+                 "--trees", str(pipeline["data"] / "trees.tsv"), "--out", str(out)]) == 0
+    assert len(roots) == 20  # one call per matched record
+    for name in ("patterns.csv", "subtree_ranks.csv"):
+        assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
 
 
 def test_render_selects_ids(pipeline, tmp_path):
@@ -287,6 +362,19 @@ def test_train_corpus_errors_name_the_corpus(pipeline, tmp_path, capsys, keep, h
     assert f"data error: {corpus}: " in err
     assert fragment in err
     assert not (tmp_path / "w.bin").exists()
+
+
+def test_holdout_words_tokenize_with_the_shared_vocabulary(tmp_path):
+    # the vocabulary covers held-out sentences too; built from the training
+    # split alone, one held-out sentence broke into 16 pieces here
+    data = tmp_path / "data"
+    assert main(["gen", "--pairs", "2", "--seed", "1", "--out", str(data)]) == 0
+    weights = tmp_path / "w.bin"
+    assert main(["train", "--corpus", str(data / "corpus.tsv"), "--out", str(weights),
+                 "--holdout", "0.5", "--vocab-size", "128", "--max-seq-len", "12",
+                 "--seed", "1", "--epochs", "1"]) == 0
+    loss = weights.with_suffix(".bin.loss.csv").read_text(encoding="utf-8")
+    assert "# holdout_accuracy=" in loss
 
 
 # ---------------------------------------------------------------------------

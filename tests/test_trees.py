@@ -231,6 +231,15 @@ def test_every_node_is_exactly_the_sum_of_its_children(tree, data):
     assert by_path[()].ligas_exact == sum((Fraction(v) for v in values), Fraction(0))
 
 
+@given(tree=trees())
+@settings(max_examples=120, deadline=None)
+def test_subtree_scores_come_in_walk_order_with_node_patterns(tree):
+    scores = subtree_scores(tree, [0.0] * tree.leaf_count())
+    nodes = list(tree.walk())
+    assert [s.path for s in scores] == [path for path, _ in nodes]
+    assert [s.fragment for s in scores] == [to_pattern(node) for _, node in nodes]
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -328,17 +337,28 @@ def make_records():
     c = parse_bracketed("(S (NN sun) (VB set))")
     d = parse_bracketed("(S (DT the) (NN end))")
     return [
-        (a, "CIA", "LA", 1.0),
-        (b, "CIA", "LA", 2.0),
-        (c, "CIA", "LA", 0.5),
-        (d, "CIA", "LA", 9.0),
-        (a, "CIA", "LUA", -1.0),
-        (b, "RAA", "LA", 4.0),
+        (a, "CIA", "LA", 1.0, [0.25, 0.75]),
+        (b, "CIA", "LA", 2.0, [1.5, 0.5]),
+        (c, "CIA", "LA", 0.5, [-0.5, 1.0]),
+        (d, "CIA", "LA", 9.0, [4.0, 5.0]),
+        (a, "CIA", "LUA", -1.0, [-0.5, -0.5]),
+        (b, "RAA", "LA", 4.0, [1.0, 3.0]),
     ]
 
 
+def assert_best_matches_the_oracle(rows, records):
+    """Each row's ``best`` equals the brute-force ranking of its group."""
+    for row in rows:
+        group = [r for r in records
+                 if (r[1], r[2], to_pattern(r[0])) == (row.category, row.label, row.pattern)]
+        path, fragment, total = rank_oracle(group[0][0], [r[4] for r in group])
+        assert (row.best.path, row.best.fragment, row.best.ligas_exact) == \
+            (path, fragment, total)
+
+
 def test_mine_patterns_counts_and_sums():
-    rows = mine_patterns(make_records())
+    records = make_records()
+    rows = mine_patterns(records)
     assert [(r.category, r.label, r.pattern, r.count) for r in rows] == [
         ("CIA", "LA", "(S(NN)(VB))", 3),
         ("CIA", "LA", "(S(DT)(NN))", 1),
@@ -347,13 +367,25 @@ def test_mine_patterns_counts_and_sums():
     ]
     assert rows[0].ligas == 3.5
     assert rows[2].ligas == -1.0
+    assert_best_matches_the_oracle(rows, records)
+    # the first group sums its word scores per leaf: NN 1.25, VB 2.25
+    assert (rows[0].best.path, rows[0].best.fragment, rows[0].best.ligas) == \
+        ((1,), "(VB)", 2.25)
 
 
 def test_mine_patterns_tie_breaks_on_pattern_text():
     a = parse_bracketed("(S (NN x) (VB y))")
     b = parse_bracketed("(S (DT x) (NN y))")
-    rows = mine_patterns([(a, "CIA", "LA", 1.0), (b, "CIA", "LA", 1.0)])
+    records = [(a, "CIA", "LA", 1.0, [0.5, 0.5]), (b, "CIA", "LA", 1.0, [0.75, 0.25])]
+    rows = mine_patterns(records)
     assert [r.pattern for r in rows] == ["(S(DT)(NN))", "(S(NN)(VB))"]
+    assert_best_matches_the_oracle(rows, records)
+
+
+def test_mine_patterns_rejects_word_scores_that_do_not_fit_the_tree():
+    tree = parse_bracketed("(S (NN x) (VB y))")
+    with pytest.raises(DataError, match="every sentence needs 2 word scores"):
+        mine_patterns([(tree, "CIA", "LA", 1.0, [1.0])])
 
 
 def test_mine_patterns_empty_input():
@@ -401,7 +433,9 @@ def test_tree_file_reports_parse_errors_with_line(tmp_path):
 
 
 def test_patterns_csv_layout(tmp_path):
-    rows = mine_patterns(make_records())
+    records = make_records()
+    rows = mine_patterns(records)
+    assert_best_matches_the_oracle(rows, records)
     path = tmp_path / "patterns.csv"
     write_patterns_csv(str(path), rows, comment="digest=abc")
     lines = path.read_text(encoding="utf-8").splitlines()
