@@ -312,7 +312,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def rows(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table; backward scatter-adds into the table."""
+    """Gather rows of a 2-D ``(V, d)`` table by an id array of any shape.
+
+    The output has shape ``ids.shape + (d,)``, so a ``(G, n)`` id array
+    gathers a ``(G, n, d)`` stack. Backward scatter-adds into the table,
+    summing every use of a repeated id.
+    """
     if table.data.ndim != 2:
         raise ShapeError(f"rows: table must be 2-D, got shape {table.data.shape}")
     idx = np.asarray(ids, dtype=np.intp)

@@ -66,7 +66,6 @@ def tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"{p}.attn.wq", (d, d)),
             (f"{p}.attn.bq", (d,)),
             (f"{p}.attn.wk", (d, d)),
-            (f"{p}.attn.bk", (d,)),
             (f"{p}.attn.wv", (d, d)),
             (f"{p}.attn.bv", (d,)),
             (f"{p}.attn.wo", (d, d)),
@@ -90,8 +89,12 @@ class ModelWeights:
     def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray],
                  vocab: Vocabulary | None = None):
         expected = tensor_shapes(config)
-        if [n for n, _ in expected] != list(arrays.keys()):
-            raise DataError("weight tensor names do not match the model configuration")
+        names = [n for n, _ in expected]
+        if names != list(arrays.keys()):
+            extra = sorted(set(arrays) - set(names))
+            missing = sorted(set(names) - set(arrays))
+            raise DataError("weight tensor names do not match the model configuration"
+                            f" (unexpected: {extra or 'none'}; missing: {missing or 'none'})")
         for name, shape in expected:
             if arrays[name].shape != shape:
                 raise DataError(
@@ -157,7 +160,9 @@ def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor, n_heads: int) -> 
     d = h.shape[-1]
     dh = d // n_heads
     q = ad.add(ad.matmul(h, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
-    k = ad.add(ad.matmul(h, wts[f"{prefix}.wk"]), wts[f"{prefix}.bk"])
+    # no key bias: q·bk adds the same constant to every score in a row,
+    # which the softmax removes
+    k = ad.matmul(h, wts[f"{prefix}.wk"])
     v = ad.add(ad.matmul(h, wts[f"{prefix}.wv"]), wts[f"{prefix}.bv"])
     inv = 1.0 / math.sqrt(dh)
     parts = []
@@ -204,11 +209,12 @@ def _check_ids(cfg: ModelConfig, ids: list[int], where: str = "embed") -> None:
             raise DataError(f"{where}: token id {t} out of range [0, {cfg.vocab_size})")
 
 
-def _embed(wts: dict[str, Tensor], cfg: ModelConfig, ids: list[int]) -> Tensor:
-    """Token + position embeddings gathered from the two tables in ``wts``;
+def _embed(wts: dict[str, Tensor], ids: np.ndarray) -> Tensor:
+    """Token + position embeddings of an ``(n,)`` id array, or of a ``(G, n)``
+    stack of equal-length sentences, gathered from the two tables in ``wts``;
     a graph is recorded only when the tables track gradients."""
-    _check_ids(cfg, ids)
-    return ad.add(ad.rows(wts["tok_emb"], ids), ad.rows(wts["pos_emb"], range(len(ids))))
+    positions = np.broadcast_to(np.arange(ids.shape[-1]), ids.shape)
+    return ad.add(ad.rows(wts["tok_emb"], ids), ad.rows(wts["pos_emb"], positions))
 
 
 def embed(weights: ModelWeights, token_ids) -> Tensor:
@@ -217,8 +223,10 @@ def embed(weights: ModelWeights, token_ids) -> Tensor:
     Wrap the result's ``data`` in a gradient-tracking tensor to
     differentiate with respect to the embeddings.
     """
+    ids = list(token_ids)
+    _check_ids(weights.config, ids)
     tables = {n: Tensor(weights.arrays[n]) for n in ("tok_emb", "pos_emb")}
-    return _embed(tables, weights.config, list(token_ids))
+    return _embed(tables, np.asarray(ids, dtype=np.intp))
 
 
 def logits_from_embeddings(weights: ModelWeights, e: Tensor) -> Tensor:
@@ -284,24 +292,52 @@ def _class_index(label: str) -> int:
     raise DataError(f"unknown class label {label!r}")
 
 
-def _sentence_loss(wts: dict[str, Tensor], cfg: ModelConfig, ids: list[int],
-                   label_idx: int) -> Tensor:
-    logits = _logits(wts, _encode(wts, cfg, _embed(wts, cfg, ids), check=False))
-    # stable log-sum-exp; the shift constant drops out of the gradient
-    m = float(logits.data.max())
-    shifted = ad.sub(logits, Tensor(np.full((1, cfg.n_classes), m)))
-    lse = ad.add(ad.log(ad.sum_all(ad.exp(shifted))), Tensor([m]))
-    return ad.sub(lse, ad.pick(logits, label_idx))
+def _length_groups(examples: list[tuple[list[int], int]]) -> list[tuple[np.ndarray, list[int]]]:
+    """Examples grouped by token count, each group as a ``(G, n)`` id array
+    and its labels, in the order each length first appears; a group keeps
+    its examples' order."""
+    groups: dict[int, tuple[list, list]] = {}
+    for ids, y in examples:
+        rows, labels = groups.setdefault(len(ids), ([], []))
+        rows.append(ids)
+        labels.append(y)
+    return [(np.array(rows, dtype=np.intp), labels) for rows, labels in groups.values()]
+
+
+def _group_loss(wts: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray,
+                labels: list[int]) -> Tensor:
+    """Summed cross-entropy of a ``(G, n)`` stack of equal-length sentences."""
+    logits = _logits(wts, _encode(wts, cfg, _embed(wts, ids), check=False))
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), 0, labels] = 1.0
+    # stable log-sum-exp per row; the shift constants drop out of the gradient
+    m = logits.data.max(axis=-1, keepdims=True)
+    shifted = ad.sub(logits, Tensor(np.broadcast_to(m, logits.shape)))
+    row_sums = ad.matmul(ad.exp(shifted), Tensor(np.ones((cfg.n_classes, 1))))
+    lse = ad.add(ad.sum_all(ad.log(row_sums)), Tensor([m.sum()]))
+    return ad.sub(lse, ad.sum_all(ad.mul(logits, Tensor(onehot))))
+
+
+def _batch_loss(wts: dict[str, Tensor], cfg: ModelConfig,
+                batch: list[tuple[list[int], int]]) -> Tensor:
+    """Mean cross-entropy of a batch, one graph per length group."""
+    total = None
+    for ids, labels in _length_groups(batch):
+        loss = _group_loss(wts, cfg, ids, labels)
+        total = loss if total is None else ad.add(total, loss)
+    return ad.scale(total, 1.0 / len(batch))
 
 
 def train(weights: ModelWeights, corpus: list[tuple[list[int], str]],
           hyper: TrainConfig) -> tuple[ModelWeights, TrainTrace]:
     """Adam on cross-entropy; deterministic given the shuffle seed.
 
-    ``corpus`` pairs token-id sequences with LA/LUA labels. Each sentence
-    runs at its own length through the same embedding and encoder as
-    :func:`predict`; a batch's loss is the mean of its sentences' losses.
-    Every sentence's ids are checked before the first step.
+    ``corpus`` pairs token-id sequences with LA/LUA labels. Each batch is
+    split into groups of equal-length sentences, and each group runs as one
+    stack through the same embedding and encoder as :func:`predict`, with
+    no padding; a batch's loss is the mean of its sentences' losses, with
+    one backward pass per batch. Every sentence's ids are checked before
+    the first step.
     """
     if not corpus:
         raise DataError("train: empty corpus")
@@ -326,11 +362,7 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], str]],
         for start in range(0, len(order), hyper.batch):
             batch = [examples[i] for i in order[start : start + hyper.batch]]
             wts = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-            total = None
-            for ids, y in batch:
-                loss = _sentence_loss(wts, cfg, ids, y)
-                total = loss if total is None else ad.add(total, loss)
-            batch_loss = ad.scale(total, 1.0 / len(batch))
+            batch_loss = _batch_loss(wts, cfg, batch)
             value = batch_loss.item()
             if not math.isfinite(value):
                 raise NumericError(f"training diverged at epoch {epoch}")
@@ -355,12 +387,20 @@ def train(weights: ModelWeights, corpus: list[tuple[list[int], str]],
 
 
 def accuracy(weights: ModelWeights, corpus: list[tuple[list[int], str]]) -> float:
+    """Share of sentences whose :func:`predict` class is their label, from
+    one forward pass per length group."""
     examples = [(list(ids), _class_index(label)) for ids, label in corpus]
     if not examples:
         raise DataError("accuracy: empty corpus")
-    correct = sum(
-        1 for ids, y in examples if predict(weights, ids).predicted_index == y
-    )
+    for i, (ids, _) in enumerate(examples):
+        _check_ids(weights.config, ids, f"accuracy: example {i}")
+    tables = {n: Tensor(weights.arrays[n]) for n in ("tok_emb", "pos_emb")}
+    correct = 0
+    for ids, labels in _length_groups(examples):
+        # each row of the stack equals its own predict pass, bit for bit
+        probs = ad.softmax(logits_from_embeddings(weights, _embed(tables, ids)), axis=-1)
+        correct += sum(1 for row, y in zip(probs.data, labels)
+                       if argmax_class(row[0]) == CLASSES[y])
     return correct / len(examples)
 
 
@@ -455,4 +495,7 @@ def load_weights(path: str) -> ModelWeights:
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
             raise DataError(f"{path}: malformed header: 'vocab' is not a list of strings")
         vocab = Vocabulary(vocab)
-    return ModelWeights(cfg, arrays, vocab)
+    try:
+        return ModelWeights(cfg, arrays, vocab)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

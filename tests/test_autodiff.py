@@ -173,6 +173,11 @@ def test_structural_op_gradients(case):
         ),
         stack,
     )
+    # a (G, n) id array gathers a (G, n, d) stack; ids repeat within a row and
+    # across rows, so the backward scatter-add must sum every use of a row
+    grid = rng.integers(0, m, size=(3, 4))
+    grid[0, 3] = grid[2, 1] = grid[0, 0]
+    check_primitive(lambda t: weighted_sum(ad.rows(t, grid), seeded(case)), x)
 
 
 def test_gelu_matches_reference_form():

@@ -8,6 +8,7 @@ shared across the file.
 import json
 import re
 
+import numpy as np
 import pytest
 
 import ligas.cli
@@ -287,6 +288,29 @@ def test_unknown_render_id_is_a_data_error(pipeline, tmp_path, capsys):
                  "--ids", "GHOST-0000-LA", "--out", str(tmp_path / "x.html")])
     assert code == 2
     assert "ids not present" in capsys.readouterr().err
+
+
+def test_weights_with_attention_key_biases_are_a_data_error(pipeline, tmp_path, capsys):
+    # files written before the key bias was dropped carry layer{i}.attn.bk
+    from types import SimpleNamespace
+    from ligas.model import load_weights, save_weights
+
+    weights = load_weights(str(pipeline["weights"]))
+    arrays = {}
+    for name, arr in weights.arrays.items():
+        arrays[name] = arr
+        if name.endswith(".attn.wk"):
+            arrays[name[: -len("wk")] + "bk"] = np.zeros(arr.shape[1])
+    old = tmp_path / "old.bin"
+    save_weights(SimpleNamespace(config=weights.config, arrays=arrays,
+                                 vocab=weights.vocab), str(old))
+    code = main(["attribute", "--corpus", str(pipeline["data"] / "corpus.tsv"),
+                 "--weights", str(old), "--steps", "4", "--out", str(tmp_path / "a.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{old}: weight tensor names do not match" in err
+    assert "unexpected: ['layer0.attn.bk']" in err
+    assert not (tmp_path / "a.jsonl").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

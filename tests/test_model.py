@@ -6,9 +6,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ligas.autodiff as ad
+import ligas.model
 from ligas.autodiff import Tensor
+from ligas.config import stream_rng
 from ligas.errors import DataError, NumericError, UsageError
 from ligas.model import (
     CLASSES,
@@ -26,7 +30,7 @@ from ligas.model import (
     tensor_shapes,
     train,
 )
-from ligas.model import _sentence_loss, _wrap
+from ligas.model import _batch_loss, _group_loss, _wrap
 from ligas.tokenizer import Vocabulary, build_vocab, tokenize
 
 SMALL = ModelConfig(vocab_size=40, d_model=16, n_heads=2, n_layers=2,
@@ -137,15 +141,17 @@ def test_encoder_gradient_matches_finite_differences():
 
 
 def test_weight_gradients_match_finite_differences_on_loss():
+    # a two-sentence group with both labels, run as one stack
     weights = init(SMALL)
-    ids = [2, 7, 9, 3]
+    ids = np.array([[2, 7, 9, 3], [2, 9, 7, 3]])
+    labels = [0, 1]
     wts = _wrap(weights, requires_grad=True)
-    loss = _sentence_loss(wts, SMALL, ids, label_idx=1)
+    loss = _group_loss(wts, SMALL, ids, labels)
     ad.backward(loss)
 
     rng = np.random.default_rng(0)
     eps = 1e-4
-    for name in ("tok_emb", "head.w", "layer1.ff.w1", "layer0.attn.wq"):
+    for name in ("tok_emb", "pos_emb", "head.w", "layer1.ff.w1", "layer0.attn.wq"):
         arr = weights.arrays[name]
         grad = ad.grad_of(wts[name])
         for _ in range(5):
@@ -154,7 +160,7 @@ def test_weight_gradients_match_finite_differences_on_loss():
 
             def loss_at(v: float) -> float:
                 arr[i] = v
-                out = _sentence_loss(_wrap(weights, False), SMALL, ids, label_idx=1)
+                out = _group_loss(_wrap(weights, False), SMALL, ids, labels)
                 arr[i] = saved
                 return out.item()
 
@@ -168,6 +174,94 @@ def test_forward_reports_nonfinite_layer():
     weights.arrays["layer1.ff.b2"][0] = np.nan
     with pytest.raises(NumericError, match="layer 1"):
         predict(weights, [2, 7, 3])
+
+
+def perturbed(seed: int) -> ModelWeights:
+    """SMALL weights with every tensor moved off its init, biases included."""
+    rng = np.random.default_rng(seed)
+    arrays = {n: a + 0.1 * rng.standard_normal(a.shape) for n, a in init(SMALL).arrays.items()}
+    return ModelWeights(SMALL, arrays)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sentences=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 1)),
+                          min_size=1, max_size=10))
+def test_grouped_batch_gradients_equal_the_per_sentence_sum(seed, sentences):
+    rng = np.random.default_rng(seed)
+    weights = perturbed(seed)
+    batch = [([int(t) for t in rng.integers(0, SMALL.vocab_size, size=n)], y) for n, y in sentences]
+    grouped = _wrap(weights, requires_grad=True)
+    ad.backward(_batch_loss(grouped, SMALL, batch))
+    summed = {n: np.zeros_like(a) for n, a in weights.arrays.items()}
+    for ids, y in batch:  # each sentence as a group of one
+        wts = _wrap(weights, requires_grad=True)
+        ad.backward(_group_loss(wts, SMALL, np.array([ids]), [y]))
+        for n in summed:
+            summed[n] += ad.grad_of(wts[n])
+    for n, total in summed.items():
+        want = total / len(batch)
+        got = ad.grad_of(grouped[n])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
+
+def test_encoder_runs_once_per_length_in_each_batch_and_in_accuracy(monkeypatch):
+    lengths = [4, 2, 4, 3, 5, 2, 2, 4, 3, 6, 4]
+    corpus = [([2] + [5 + i % 7] * (n - 1), "LA" if i % 2 else "LUA")
+              for i, n in enumerate(lengths)]
+    events = []
+
+    def encode(wts, cfg, e, check=True):
+        events.append(e.shape[:2])  # (sentences in the stack, tokens)
+        return encode.real(wts, cfg, e, check)
+
+    def backward(out):
+        events.append("backward")
+        return backward.real(out)
+
+    encode.real, backward.real = ligas.model._encode, ad.backward
+    monkeypatch.setattr(ligas.model, "_encode", encode)
+    monkeypatch.setattr(ad, "backward", backward)
+    hyper = TrainConfig(epochs=3, batch=4, seed=7)
+    train(init(SMALL), corpus, hyper)
+
+    def groups(batch_lengths):  # lengths in order of first appearance
+        return [(batch_lengths.count(n), n) for n in dict.fromkeys(batch_lengths)]
+
+    expected = []
+    rng = stream_rng(hyper.seed, "train-shuffle")
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(corpus))
+        for start in range(0, len(order), hyper.batch):
+            expected += groups([lengths[i] for i in order[start : start + hyper.batch]])
+            expected.append("backward")
+    expected += groups(lengths)  # the final accuracy
+    assert events == expected
+
+
+def test_accuracy_counts_each_sentence_as_predict_does(trained_model, synth_corpus):
+    weights, vocab = trained_model
+    corpus = [(tokenize(s.text, vocab).token_ids, s.gold) for s in synth_corpus]
+    assert len({len(ids) for ids, _ in corpus}) > 1
+    correct = sum(1 for ids, gold in corpus if predict(weights, ids).predicted_class == gold)
+    assert accuracy(weights, corpus) == correct / len(corpus)
+    # LA and LUA sentences swap places: every prediction now scores the other way
+    flipped = [(ids, "LUA" if gold == "LA" else "LA") for ids, gold in corpus]
+    assert accuracy(weights, flipped) == (len(corpus) - correct) / len(corpus)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accuracy_reports_nonfinite_layer():
+    weights = init(SMALL)
+    weights.arrays["layer1.ff.b2"][0] = np.nan
+    with pytest.raises(NumericError, match="encoder layer 1"):
+        accuracy(weights, [([2, 7, 3], "LA"), ([2, 5], "LUA"), ([2, 9, 3], "LUA")])
+
+
+def test_accuracy_checks_every_sentence():
+    corpus = [([2, 7, 3], "LA"), ([2, 5], "LUA"), ([2, 40, 3], "LUA")]
+    with pytest.raises(DataError, match=r"accuracy: example 2: token id 40 out of range"):
+        accuracy(init(SMALL), corpus)
 
 
 def test_training_memorizes_a_tiny_corpus():
