@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import write_artifact
+from .config import CATEGORIES, write_artifact
 from .errors import DataError, NumericError, UsageError
 from .model import (CLASSES, ModelWeights, Prediction, embed, logits_from_embeddings,
                     prediction_of)
@@ -40,7 +40,7 @@ RULES = ("left", "right", "trapezoid")
 TARGET_SPACES = ("logit", "probability")
 BASELINE_MODES = ("pad_embeddings", "zero")
 # interpolation points per forward/backward in integrated_gradients; peak
-# memory grows with it, by about 0.14 MB per point for a 7-token sentence
+# memory grows with it, by about 0.07 MB per point for a 7-token sentence
 CHUNK_ROWS = 16
 
 
@@ -325,9 +325,11 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
     """Returns (header, records); the header is {} when absent.
 
     Each record must carry unique string ids and labels, finite numbers and
-    a list of ``{"text", "ligas"}`` words. A header that declares a
-    ``records`` count must match the records read, so a file cut short at
-    a line boundary is rejected.
+    a list of ``{"text", "ligas"}`` words. Its category must be one of
+    ``CATEGORIES``, its gold and predicted labels ``CLASSES``, and its prob
+    must lie in [0, 1], so a command that reads the file fails before it
+    writes anything. A header that declares a ``records`` count must match
+    the records read, so a file cut short at a line boundary is rejected.
     """
     header: dict = {}
     records: list[dict] = []
@@ -362,6 +364,15 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
                                 f"malformed {bad} (want string ids and labels, finite "
                                 f"scores, and words as {{'text': string, 'ligas': number}} "
                                 f"objects)")
+            bad_values = [f"{k} {obj[k]!r} is not one of {allowed}"
+                          for k, allowed in (("category", CATEGORIES), ("gold", CLASSES),
+                                             ("predicted", CLASSES))
+                          if obj[k] not in allowed]
+            if not 0.0 <= obj["prob"] <= 1.0:
+                bad_values.append(f"prob {obj['prob']!r} is outside [0, 1]")
+            if bad_values:
+                raise DataError(f"{path}:{line_no}: record {obj['id']!r}: "
+                                + "; ".join(bad_values))
             if obj["id"] in ids:
                 raise DataError(f"{path}:{line_no}: duplicate record id {obj['id']!r}")
             ids.add(obj["id"])

@@ -251,7 +251,7 @@ def log(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU via the tanh approximation, with its exact analytic derivative."""
     x = a.data
-    inner = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
+    inner = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
     t = np.tanh(inner)
     out = Tensor(0.5 * x * (1.0 + t))
 

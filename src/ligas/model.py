@@ -2,9 +2,14 @@
 
 The encoder maps token embeddings to acceptability logits through a stack
 of post-norm self-attention blocks, pools the first position, and applies
-a linear head. ``logits_from_embeddings`` is the attribution entry point:
-it exposes the logits as a differentiable function of the embedding matrix,
-or of a stack of them, each row computed as it would be on its own.
+a linear head. The head reads only that pooled row, so the last block
+computes only it: its query, attention output, layer norms and
+feed-forward run on row 0, while its keys and values still come from
+every row (the word-vector elimination of PoWER-BERT, Goyal et al. 2020,
+arXiv:2001.08950, carried through to the last block).
+``logits_from_embeddings`` is the attribution entry point: it exposes the
+logits as a differentiable function of the embedding matrix, or of a stack
+of them, each row computed as it would be on its own.
 """
 
 from __future__ import annotations
@@ -156,10 +161,12 @@ def _wrap(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
     return {n: Tensor(a, requires_grad=requires_grad) for n, a in weights.arrays.items()}
 
 
-def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor, n_heads: int) -> Tensor:
+def _attention(wts: dict[str, Tensor], prefix: str, x: Tensor, h: Tensor,
+               n_heads: int) -> Tensor:
+    """Self-attention output for the query rows ``x`` over the rows of ``h``."""
     d = h.shape[-1]
     dh = d // n_heads
-    q = ad.add(ad.matmul(h, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
+    q = ad.add(ad.matmul(x, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
     # no key bias: q·bk adds the same constant to every score in a row,
     # which the softmax removes
     k = ad.matmul(h, wts[f"{prefix}.wk"])
@@ -179,21 +186,28 @@ def _attention(wts: dict[str, Tensor], prefix: str, h: Tensor, n_heads: int) -> 
 
 def _encode(wts: dict[str, Tensor], cfg: ModelConfig, e: Tensor,
             check: bool = True) -> Tensor:
+    """The pooled first-position row, ``(..., 1, d)``, of the encoder stack.
+
+    Only that row reaches the head, so the last layer computes only it
+    (PoWER-BERT's word-vector elimination, Goyal et al. 2020): its query,
+    residual, attention output, layer norms and feed-forward take row 0,
+    and its keys and values every row of its input.
+    """
     h = e
     for i in range(cfg.n_layers):
         p = f"layer{i}"
-        attn_out = _attention(wts, f"{p}.attn", h, cfg.n_heads)
-        h = ad.layer_norm(ad.add(h, attn_out), wts[f"{p}.ln1.gain"], wts[f"{p}.ln1.bias"])
-        up = ad.gelu(ad.add(ad.matmul(h, wts[f"{p}.ff.w1"]), wts[f"{p}.ff.b1"]))
+        x = ad.take_row(h, 0) if i == cfg.n_layers - 1 else h
+        attn_out = _attention(wts, f"{p}.attn", x, h, cfg.n_heads)
+        x = ad.layer_norm(ad.add(x, attn_out), wts[f"{p}.ln1.gain"], wts[f"{p}.ln1.bias"])
+        up = ad.gelu(ad.add(ad.matmul(x, wts[f"{p}.ff.w1"]), wts[f"{p}.ff.b1"]))
         ff = ad.add(ad.matmul(up, wts[f"{p}.ff.w2"]), wts[f"{p}.ff.b2"])
-        h = ad.layer_norm(ad.add(h, ff), wts[f"{p}.ln2.gain"], wts[f"{p}.ln2.bias"])
+        h = ad.layer_norm(ad.add(x, ff), wts[f"{p}.ln2.gain"], wts[f"{p}.ln2.bias"])
         if check:
             ad.check_finite(h, f"encoder layer {i}")
     return h
 
 
-def _logits(wts: dict[str, Tensor], h: Tensor) -> Tensor:
-    pooled = ad.take_row(h, 0)
+def _logits(wts: dict[str, Tensor], pooled: Tensor) -> Tensor:
     return ad.add(ad.matmul(pooled, wts["head.w"]), wts["head.b"])
 
 

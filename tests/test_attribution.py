@@ -621,3 +621,28 @@ def test_jsonl_rejects_duplicate_ids(tmp_path):
     write_attributions_jsonl(str(path), [GOOD_RECORD, GOOD_RECORD])
     with pytest.raises(DataError, match=r"dup\.jsonl:2: duplicate record id 'CIA-0000-LA'"):
         read_attributions_jsonl(str(path))
+
+
+@pytest.mark.parametrize("change,problem", [
+    ({"category": "XYZ"}, "category 'XYZ' is not one of ('CIA', 'RAA', 'SVA', 'SVO', 'WHE')"),
+    ({"gold": "good"}, "gold 'good' is not one of ('LA', 'LUA')"),
+    ({"predicted": "la"}, "predicted 'la' is not one of ('LA', 'LUA')"),
+    ({"prob": 1.5}, "prob 1.5 is outside [0, 1]"),
+    ({"prob": -0.25}, "prob -0.25 is outside [0, 1]"),
+    ({"category": "XYZ", "prob": 2}, "category 'XYZ' is not one of ('CIA', 'RAA', 'SVA', "
+                                     "'SVO', 'WHE'); prob 2 is outside [0, 1]"),
+])
+def test_jsonl_rejects_out_of_range_values(tmp_path, change, problem):
+    path = tmp_path / "bad.jsonl"
+    record = {**GOOD_RECORD, "id": "b", **change}
+    write_attributions_jsonl(str(path), [GOOD_RECORD, record], header={"config_digest": "x"})
+    message = f"bad.jsonl:3: record 'b': {problem}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_attributions_jsonl(str(path))
+
+
+def test_jsonl_accepts_probabilities_at_both_ends(tmp_path):
+    path = tmp_path / "ends.jsonl"
+    records = [{**GOOD_RECORD, "id": "zero", "prob": 0.0}, {**GOOD_RECORD, "id": "one", "prob": 1}]
+    write_attributions_jsonl(str(path), records)
+    assert read_attributions_jsonl(str(path)) == ({}, records)

@@ -186,6 +186,17 @@ def test_gelu_matches_reference_form():
     got = ad.gelu(Tensor(x.reshape(1, -1))).data.reshape(-1)
     assert np.allclose(got, expected, atol=0, rtol=1e-15)
 
+    # a seeded stack the shape of one IG chunk
+    x = np.random.default_rng(11).standard_normal((16, 7, 64))
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3))
+    expected = 0.5 * x * (1.0 + t)
+    got = ad.gelu(Tensor(x)).data
+    # rtol against the terms of 1 + t before they cancel: for x >= 0 that is
+    # |expected| itself; for very negative x, t nears -1, and a last-bit
+    # difference in the cube moves 1 + t by a larger relative amount
+    assert np.all(np.abs(got - expected) <= 1e-15 * 0.5 * np.abs(x) * (1.0 + np.abs(t)))
+    assert np.allclose(got[x >= 0], expected[x >= 0], atol=0, rtol=1e-15)
+
 
 def test_softmax_rows_sum_to_one_and_are_stable():
     x = Tensor(np.array([[1000.0, 1000.0, -1000.0], [3.0, 1.0, 0.2]]))

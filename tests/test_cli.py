@@ -561,3 +561,43 @@ def test_malformed_record_is_a_data_error(pipeline, tmp_path, capsys, command, f
     assert code == 2
     message = f"{bad}:2: record {record['id']!r}: missing or malformed ['{field}']"
     assert message in capsys.readouterr().err
+
+
+def _snapshot(path):
+    """Every file under ``path`` (or ``path`` itself) with its bytes."""
+    if path.is_file():
+        return {path.name: path.read_bytes()}
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("field,value,problem", [
+    ("prob", 1.5, "prob 1.5 is outside [0, 1]"),
+    ("category", "XYZ", "category 'XYZ' is not one of"),
+    ("gold", "yes", "gold 'yes' is not one of ('LA', 'LUA')"),
+    ("predicted", "", "predicted '' is not one of ('LA', 'LUA')"),
+])
+def test_out_of_range_record_writes_no_report(pipeline, tmp_path, capsys, command,
+                                              field, value, problem):
+    lines = pipeline["attributions"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    lines[3] = json.dumps({**record, field: value})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    earlier = pipeline["out"] if command == "analyze" else pipeline["heatmaps"]
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    kept = kept / earlier.name
+    before = _snapshot(earlier)
+    for name, data in before.items():  # an earlier run's output, to be left as it is
+        target = kept / name if earlier.is_dir() else kept
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
+    fresh = tmp_path / "fresh"
+    for out in (fresh, kept):
+        code = main([command, "--attributions", str(bad), "--out", str(out)])
+        assert code == 2
+        assert f"{bad}:4: record {record['id']!r}: {problem}" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert _snapshot(kept) == before

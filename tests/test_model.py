@@ -1,12 +1,13 @@
 """Encoder behavior: init, forward paths, training, weight container."""
 
 import json
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ligas.autodiff as ad
@@ -25,6 +26,7 @@ from ligas.model import (
     forward_from_embeddings,
     init,
     load_weights,
+    logits_from_embeddings,
     predict,
     save_weights,
     tensor_shapes,
@@ -138,6 +140,78 @@ def test_encoder_gradient_matches_finite_differences():
         fd_flat[i] = (up - down) / (2.0 * eps)
     scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(fd)))
     assert float((np.abs(got - fd) / scale).max()) <= 1e-3
+
+
+def full_row_logits(weights: ModelWeights, e: Tensor) -> Tensor:
+    """Reference encoder that runs every layer on every row, the last one
+    included, then applies the head to row 0."""
+    cfg = weights.config
+    wts = _wrap(weights, requires_grad=False)
+    dh = cfg.d_model // cfg.n_heads
+    h = e
+    for i in range(cfg.n_layers):
+        p = f"layer{i}"
+        q = ad.add(ad.matmul(h, wts[f"{p}.attn.wq"]), wts[f"{p}.attn.bq"])
+        k = ad.matmul(h, wts[f"{p}.attn.wk"])
+        v = ad.add(ad.matmul(h, wts[f"{p}.attn.wv"]), wts[f"{p}.attn.bv"])
+        heads = []
+        for lo in range(0, cfg.d_model, dh):
+            scores = ad.matmul(ad.slice_cols(q, lo, lo + dh),
+                               ad.transpose(ad.slice_cols(k, lo, lo + dh)))
+            probs = ad.softmax(ad.scale(scores, 1.0 / math.sqrt(dh)), axis=-1)
+            heads.append(ad.matmul(probs, ad.slice_cols(v, lo, lo + dh)))
+        attn = ad.add(ad.matmul(ad.concat_cols(heads), wts[f"{p}.attn.wo"]),
+                      wts[f"{p}.attn.bo"])
+        h = ad.layer_norm(ad.add(h, attn), wts[f"{p}.ln1.gain"], wts[f"{p}.ln1.bias"])
+        up = ad.gelu(ad.add(ad.matmul(h, wts[f"{p}.ff.w1"]), wts[f"{p}.ff.b1"]))
+        ff = ad.add(ad.matmul(up, wts[f"{p}.ff.w2"]), wts[f"{p}.ff.b2"])
+        h = ad.layer_norm(ad.add(h, ff), wts[f"{p}.ln2.gain"], wts[f"{p}.ln2.bias"])
+    return ad.add(ad.matmul(ad.take_row(h, 0), wts["head.w"]), wts["head.b"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.sampled_from([1, 2]),
+       rows=st.integers(1, 3), tokens=st.integers(1, 6))
+@example(seed=0, n_layers=1, rows=1, tokens=1)
+@example(seed=1, n_layers=2, rows=2, tokens=1)
+@example(seed=2, n_layers=1, rows=3, tokens=5)
+@example(seed=3, n_layers=2, rows=3, tokens=6)
+def test_pooled_last_layer_equals_the_full_row_encoder(seed, n_layers, rows, tokens):
+    cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=n_layers, d_ff=12,
+                      max_seq_len=8, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    weights = ModelWeights(cfg, {n: a + 0.1 * rng.standard_normal(a.shape)
+                                 for n, a in init(cfg).arrays.items()})
+    stack = rng.standard_normal((rows, tokens, cfg.d_model))
+    probe = Tensor(rng.standard_normal((rows, 1, cfg.n_classes)))
+    got_e, want_e = Tensor(stack, requires_grad=True), Tensor(stack, requires_grad=True)
+    got = logits_from_embeddings(weights, got_e)
+    want = full_row_logits(weights, want_e)
+    ad.backward(ad.sum_all(ad.mul(got, probe)))
+    ad.backward(ad.sum_all(ad.mul(want, probe)))
+    # rtol per entry, and the same share of the tensor's largest entry for
+    # entries that cancel to near zero
+    for a, b in ((got.data, want.data), (ad.grad_of(got_e), ad.grad_of(want_e))):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_last_layer_runs_on_the_pooled_row_only(monkeypatch):
+    seen = []
+
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ad, "gelu", recorded("gelu", ad.gelu))
+    monkeypatch.setattr(ad, "layer_norm", recorded("layer_norm", ad.layer_norm))
+    K, n, d, ff = 3, 5, SMALL.d_model, SMALL.d_ff
+    e = np.random.default_rng(4).standard_normal((K, n, d))
+    logits_from_embeddings(init(SMALL), Tensor(e, requires_grad=True))
+    assert SMALL.n_layers == 2
+    assert seen == [("layer_norm", (K, n, d)), ("gelu", (K, n, ff)), ("layer_norm", (K, n, d)),
+                    ("layer_norm", (K, 1, d)), ("gelu", (K, 1, ff)), ("layer_norm", (K, 1, d))]
 
 
 def test_weight_gradients_match_finite_differences_on_loss():
