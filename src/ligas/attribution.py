@@ -326,10 +326,12 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
 
     Each record must carry unique string ids and labels, finite numbers and
     a list of ``{"text", "ligas"}`` words. Its category must be one of
-    ``CATEGORIES``, its gold and predicted labels ``CLASSES``, and its prob
-    must lie in [0, 1], so a command that reads the file fails before it
-    writes anything. A header that declares a ``records`` count must match
-    the records read, so a file cut short at a line boundary is rejected.
+    ``CATEGORIES``, its gold and predicted labels ``CLASSES``, its prob
+    must lie in [0, 1], its completeness gap must not be negative, and its
+    ``sentence_ligas`` must be the exact sum of its word scores, so a
+    command that reads the file fails before it writes anything. A header
+    that declares a ``records`` count must match the records read, so a
+    file cut short at a line boundary is rejected.
     """
     header: dict = {}
     records: list[dict] = []
@@ -370,6 +372,13 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
                           if obj[k] not in allowed]
             if not 0.0 <= obj["prob"] <= 1.0:
                 bad_values.append(f"prob {obj['prob']!r} is outside [0, 1]")
+            if obj["completeness_gap"] < 0:
+                bad_values.append(f"completeness_gap {obj['completeness_gap']!r} is negative")
+            # the writer stores the exact sum, and JSON round-trips floats
+            total = math.fsum(w["ligas"] for w in words)
+            if obj["sentence_ligas"] != total:
+                bad_values.append(f"sentence_ligas {obj['sentence_ligas']!r} is not the "
+                                  f"sum of its word scores, {total!r}")
             if bad_values:
                 raise DataError(f"{path}:{line_no}: record {obj['id']!r}: "
                                 + "; ".join(bad_values))

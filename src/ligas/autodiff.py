@@ -17,6 +17,9 @@ computed exactly as it would be on its own. Broadcasting takes three
 forms: a python scalar times a tensor (:func:`scale`), a 1-D bias added
 over the last axis (:func:`add`), and a 2-D weight shared by every batch
 row (:func:`matmul`), whose gradient is summed over the batch.
+:func:`split_heads` reshapes ``(..., n, d)`` to a ``(..., h, n, d/h)``
+stack of heads, so the matrix operations run every head at once, and
+:func:`merge_heads` reshapes it back.
 """
 
 from __future__ import annotations
@@ -376,6 +379,37 @@ def transpose(a: Tensor) -> Tensor:
     def back(g):
         if a.requires_grad:
             a.accumulate(g.swapaxes(-1, -2))
+
+    return _bind(out, back, a)
+
+
+def split_heads(a: Tensor, h: int) -> Tensor:
+    """``(..., n, d)`` as ``(..., h, n, d/h)``: column block ``j`` becomes head ``j``."""
+    shape = a.data.shape
+    if a.data.ndim < 2 or h <= 0 or shape[-1] % h:
+        raise ShapeError(f"split_heads: {h} heads invalid for shape {shape}")
+    split = shape[:-1] + (h, shape[-1] // h)
+    out = Tensor(a.data.reshape(split).swapaxes(-2, -3).copy())
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(g.swapaxes(-2, -3).reshape(shape))
+
+    return _bind(out, back, a)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """``(..., h, n, d/h)`` as ``(..., n, d)``; the inverse of :func:`split_heads`."""
+    shape = a.data.shape
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads: expected 3-D or more, got shape {shape}")
+    h, n, dh = shape[-3:]
+    out = Tensor(a.data.swapaxes(-2, -3).copy().reshape(shape[:-3] + (n, h * dh)))
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(np.ascontiguousarray(
+                g.reshape(shape[:-3] + (n, h, dh)).swapaxes(-2, -3)))
 
     return _bind(out, back, a)
 

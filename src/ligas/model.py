@@ -2,8 +2,10 @@
 
 The encoder maps token embeddings to acceptability logits through a stack
 of post-norm self-attention blocks, pools the first position, and applies
-a linear head. The head reads only that pooled row, so the last block
-computes only it: its query, attention output, layer norms and
+a linear classifier. Each block runs all of its attention heads in one
+``(..., n_heads, n, d/n_heads)`` stack (the batched multi-head attention
+of Vaswani et al. 2017). The classifier reads only the pooled row, so the
+last block computes only it: its query, attention output, layer norms and
 feed-forward run on row 0, while its keys and values still come from
 every row (the word-vector elimination of PoWER-BERT, Goyal et al. 2020,
 arXiv:2001.08950, carried through to the last block).
@@ -163,24 +165,21 @@ def _wrap(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
 
 def _attention(wts: dict[str, Tensor], prefix: str, x: Tensor, h: Tensor,
                n_heads: int) -> Tensor:
-    """Self-attention output for the query rows ``x`` over the rows of ``h``."""
-    d = h.shape[-1]
-    dh = d // n_heads
+    """Self-attention output for the query rows ``x`` over the rows of ``h``.
+
+    Every head runs in one stack: the projections are split into
+    ``(..., n_heads, n, d/n_heads)`` heads, attended with one product,
+    softmax and product over that stack, and merged back (Vaswani et al.
+    2017).
+    """
     q = ad.add(ad.matmul(x, wts[f"{prefix}.wq"]), wts[f"{prefix}.bq"])
     # no key bias: q·bk adds the same constant to every score in a row,
     # which the softmax removes
     k = ad.matmul(h, wts[f"{prefix}.wk"])
     v = ad.add(ad.matmul(h, wts[f"{prefix}.wv"]), wts[f"{prefix}.bv"])
-    inv = 1.0 / math.sqrt(dh)
-    parts = []
-    for head in range(n_heads):
-        lo, hi = head * dh, (head + 1) * dh
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv)
-        parts.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-    ctx = ad.concat_cols(parts)
+    qh, kh, vh = (ad.split_heads(t, n_heads) for t in (q, k, v))
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(qh.shape[-1]))
+    ctx = ad.merge_heads(ad.matmul(ad.softmax(scores, axis=-1), vh))
     return ad.add(ad.matmul(ctx, wts[f"{prefix}.wo"]), wts[f"{prefix}.bo"])
 
 

@@ -537,9 +537,10 @@ def test_jsonl_round_trip_preserves_floats(tmp_path):
         {
             "id": "SVA-0000-LA", "category": "SVA", "gold": "LA",
             "predicted": "LA", "prob": 0.9482937462819374,
-            "sentence_ligas": 1.2345678901234567e-3,
+            "sentence_ligas": 1.234567890123453e-3,  # the exact sum of the word scores
             "completeness_gap": 3.0814879110195774e-17,
-            "words": [{"text": "the", "ligas": -0.1}, {"text": "dog", "ligas": 0.7}],
+            "words": [{"text": "the", "ligas": -0.1},
+                      {"text": "dog", "ligas": 0.10123456789012346}],
         },
     ]
     header = {"config_digest": "abc123def456", "steps": 64}
@@ -631,6 +632,17 @@ def test_jsonl_rejects_duplicate_ids(tmp_path):
     ({"prob": -0.25}, "prob -0.25 is outside [0, 1]"),
     ({"category": "XYZ", "prob": 2}, "category 'XYZ' is not one of ('CIA', 'RAA', 'SVA', "
                                      "'SVO', 'WHE'); prob 2 is outside [0, 1]"),
+    ({"completeness_gap": -1.0}, "completeness_gap -1.0 is negative"),
+    ({"completeness_gap": -5e-324}, "completeness_gap -5e-324 is negative"),
+    ({"sentence_ligas": 5.0}, "sentence_ligas 5.0 is not the sum of its word scores, 0.5"),
+    ({"sentence_ligas": 0.5000000000000001},
+     "sentence_ligas 0.5000000000000001 is not the sum of its word scores, 0.5"),
+    ({"words": [{"text": w, "ligas": v} for w, v in (("a", 1e16), ("b", 1.0), ("c", -1e16))],
+      "sentence_ligas": 1e16 + 1.0 - 1e16},
+     "sentence_ligas 0.0 is not the sum of its word scores, 1.0"),
+    ({"sentence_ligas": 5.0, "completeness_gap": -1.0},
+     "completeness_gap -1.0 is negative; sentence_ligas 5.0 is not the sum of its "
+     "word scores, 0.5"),
 ])
 def test_jsonl_rejects_out_of_range_values(tmp_path, change, problem):
     path = tmp_path / "bad.jsonl"
@@ -639,6 +651,19 @@ def test_jsonl_rejects_out_of_range_values(tmp_path, change, problem):
     message = f"bad.jsonl:3: record 'b': {problem}"
     with pytest.raises(DataError, match=re.escape(message)):
         read_attributions_jsonl(str(path))
+
+
+def test_jsonl_accepts_exact_totals(tmp_path):
+    path = tmp_path / "exact.jsonl"
+    records = [
+        {**GOOD_RECORD, "id": "zero-gap", "completeness_gap": 0},
+        # fsum is exact where plain left-to-right addition is not
+        {**GOOD_RECORD, "id": "fsum", "sentence_ligas": 1.0,
+         "words": [{"text": w, "ligas": v} for w, v in (("a", 1e16), ("b", 1), ("c", -1e16))]},
+        {**GOOD_RECORD, "id": "empty", "sentence_ligas": 0, "words": []},
+    ]
+    write_attributions_jsonl(str(path), records)
+    assert read_attributions_jsonl(str(path)) == ({}, records)
 
 
 def test_jsonl_accepts_probabilities_at_both_ends(tmp_path):

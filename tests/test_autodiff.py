@@ -178,6 +178,15 @@ def test_structural_op_gradients(case):
     grid = rng.integers(0, m, size=(3, 4))
     grid[0, 3] = grid[2, 1] = grid[0, 0]
     check_primitive(lambda t: weighted_sum(ad.rows(t, grid), seeded(case)), x)
+    # split_heads and merge_heads on a matrix and on a stack: one head, a
+    # head per column, and a drawn divisor of the width
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    for h in (1, n, int(rng.choice(divisors))):
+        for lead in ((), stack.shape[:1]):
+            check_primitive(lambda t: weighted_sum(ad.split_heads(t, h), seeded(case)),
+                            rng.standard_normal(lead + (m, n)))
+            check_primitive(lambda t: weighted_sum(ad.merge_heads(t), seeded(case)),
+                            rng.standard_normal(lead + (h, m, n // h)))
 
 
 def test_gelu_matches_reference_form():
@@ -196,6 +205,35 @@ def test_gelu_matches_reference_form():
     # difference in the cube moves 1 + t by a larger relative amount
     assert np.all(np.abs(got - expected) <= 1e-15 * 0.5 * np.abs(x) * (1.0 + np.abs(t)))
     assert np.allclose(got[x >= 0], expected[x >= 0], atol=0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape,h", [
+    ((3, 6), 1), ((3, 6), 2), ((3, 6), 6), ((1, 4), 2),
+    ((2, 5, 8), 4), ((2, 1, 8), 8), ((2, 3, 4, 6), 3),
+])
+def test_split_heads_layout_and_inverse(shape, h):
+    x = np.random.default_rng(len(shape) * 10 + h).standard_normal(shape)
+    heads = ad.split_heads(Tensor(x), h)
+    d = shape[-1] // h
+    assert heads.shape == shape[:-2] + (h, shape[-2], d)
+    assert heads.data.flags.c_contiguous and not np.shares_memory(heads.data, x)
+    for j in range(h):  # column block j is head j
+        assert np.array_equal(heads.data[..., j, :, :], x[..., j * d:(j + 1) * d])
+    merged = ad.merge_heads(heads)
+    assert merged.data.flags.c_contiguous and not np.shares_memory(merged.data, heads.data)
+    assert merged.data.tobytes() == x.tobytes() and merged.shape == x.shape
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ad.split_heads(Tensor(np.ones((3, 6))), 4), r"4 heads invalid for shape \(3, 6\)"),
+    (lambda: ad.split_heads(Tensor(np.ones((3, 6))), 0), r"0 heads invalid"),
+    (lambda: ad.split_heads(Tensor(np.ones((3, 6))), -2), r"-2 heads invalid"),
+    (lambda: ad.split_heads(Tensor(np.ones(6)), 2), r"invalid for shape \(6,\)"),
+    (lambda: ad.merge_heads(Tensor(np.ones((3, 6)))), r"merge_heads: .*\(3, 6\)"),
+])
+def test_head_reshapes_reject_bad_shapes(build, match):
+    with pytest.raises(ShapeError, match=match):
+        build()
 
 
 def test_softmax_rows_sum_to_one_and_are_stable():

@@ -577,6 +577,8 @@ def _snapshot(path):
     ("category", "XYZ", "category 'XYZ' is not one of"),
     ("gold", "yes", "gold 'yes' is not one of ('LA', 'LUA')"),
     ("predicted", "", "predicted '' is not one of ('LA', 'LUA')"),
+    ("completeness_gap", -1.0, "completeness_gap -1.0 is negative"),
+    ("sentence_ligas", 5.0, "sentence_ligas 5.0 is not the sum of its word scores"),
 ])
 def test_out_of_range_record_writes_no_report(pipeline, tmp_path, capsys, command,
                                               field, value, problem):

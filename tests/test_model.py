@@ -214,6 +214,25 @@ def test_last_layer_runs_on_the_pooled_row_only(monkeypatch):
                     ("layer_norm", (K, 1, d)), ("gelu", (K, 1, ff)), ("layer_norm", (K, 1, d))]
 
 
+def test_attention_runs_every_head_in_one_stack(monkeypatch):
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("split_heads", "merge_heads", "transpose", "softmax", "slice_cols", "concat_cols")
+    for name in names:
+        monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
+    e = np.random.default_rng(6).standard_normal((3, 5, SMALL.d_model))
+    logits_from_embeddings(init(SMALL), Tensor(e, requires_grad=True))
+    per_layer = ["split_heads"] * 3 + ["transpose", "softmax", "merge_heads"]
+    assert SMALL.n_heads == 2
+    assert calls == per_layer * SMALL.n_layers
+
+
 def test_weight_gradients_match_finite_differences_on_loss():
     # a two-sentence group with both labels, run as one stack
     weights = init(SMALL)
