@@ -4,6 +4,11 @@ Every command is deterministic given its inputs and settings; each output
 file carries a 12-hex digest of the effective non-path settings in a
 comment/header line, so runs can be matched to their configuration.
 
+argparse alone reads the command line, and flags are spelled in full.
+``--config FILE`` (or ``--config=FILE``) gives ``key = value`` lines that
+become the command's defaults, required paths included, each checked by its
+flag's type and choices; flags on the line win.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 """
 
@@ -33,7 +38,7 @@ from .attribution import (
     read_attributions_jsonl,
     write_attributions_jsonl,
 )
-from .config import CATEGORIES, config_digest, parse_config_file, write_artifact
+from .config import CATEGORIES, config_digest, write_artifact
 from .corpus import (
     generate_all,
     generate_synthetic,
@@ -61,8 +66,17 @@ _PATH_ARGS = ("config", "corpus", "out", "weights", "attributions", "trees")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # flags are spelled in full, so --config is read one way
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
+
+
+# every command's --config; main reads it before the full parse, so that the
+# file's values become that command's defaults
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", help="flat key=value settings file; flags override it")
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -71,10 +85,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     commands: dict[str, _Parser] = {}
 
     def command(name: str, help_text: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value settings file; flags override it")
-        commands[name] = p
-        return p
+        commands[name] = sub.add_parser(name, help=help_text, parents=[_CONFIG])
+        return commands[name]
 
     g = command("gen", "generate the synthetic labeled corpus with gold trees")
     g.add_argument("--category", default="all", choices=("all",) + CATEGORIES)
@@ -121,44 +133,49 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
-def _scan_config_path(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
+def parse_config_file(path: str) -> dict[str, str]:
+    """Read a flat ``key = value`` config file.
+
+    Blank lines and ``#`` comments are ignored. Keys mirror CLI flag names
+    with underscores (``d_model = 32``). Values stay as strings until
+    ``_apply_config_file`` checks them against their flags.
+    """
+    values: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise DataError(f"{path}:{lineno}: empty key")
+            values[key] = value.strip()
+    return values
 
 
 def _apply_config_file(sub: _Parser, values: dict[str, str]) -> None:
-    actions = {a.dest: a for a in sub._actions
-               if a.dest not in ("help", "config")}
+    """Make the file's values ``sub``'s defaults, each coerced and checked by
+    its flag's own ``type`` and ``choices``; flags given on the line still win."""
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = [k for k in values if k not in actions]
     if unknown:
         raise UsageError(f"unknown config file keys: {', '.join(sorted(unknown))}")
     defaults = {}
     for key, raw in values.items():
         action = actions[key]
-        if action.type is int:
-            try:
-                defaults[key] = int(raw)
-            except ValueError:
-                raise UsageError(f"config key {key}: expected an integer, got {raw!r}")
-        elif action.type is float:
-            try:
-                defaults[key] = float(raw)
-            except ValueError:
-                raise UsageError(f"config key {key}: expected a number, got {raw!r}")
-        else:
-            if action.choices and raw not in action.choices:
-                raise UsageError(
-                    f"config key {key}: {raw!r} is not one of {sorted(action.choices)}"
-                )
-            defaults[key] = raw
-        if action.required:
-            action.required = False
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except ValueError:
+            kind = "an integer" if action.type is int else "a number"
+            raise UsageError(f"config key {key}: expected {kind}, got {raw!r}")
+        if action.choices and value not in action.choices:
+            raise UsageError(
+                f"config key {key}: {raw!r} is not one of {sorted(action.choices)}")
+        defaults[key] = value
+        action.required = False
     sub.set_defaults(**defaults)
 
 
@@ -166,9 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        config_path = _scan_config_path(argv)
+        config_path = _CONFIG.parse_known_args(argv)[0].config
         if config_path is not None:
-            if not argv or argv[0] not in commands:
+            if argv[0] not in commands:
                 raise UsageError("--config requires a leading command")
             _apply_config_file(commands[argv[0]], parse_config_file(config_path))
         args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Reproducibility plumbing: seed sub-streams, config files, digests, artifact writes.
+"""Reproducibility plumbing: seed sub-streams, settings digests, artifact writes.
 
 All randomness in the pipeline flows from one 64-bit seed. Each consumer
 draws from a named sub-stream so that, say, adding an extra generator call
@@ -13,8 +13,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DataError
-
 # the five sentence categories the pipeline analyzes
 CATEGORIES = ("CIA", "RAA", "SVA", "SVO", "WHE")
 
@@ -28,29 +26,6 @@ def sub_seed(seed: int, stream: str) -> int:
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """PCG64 generator for a named sub-stream (model-init, train-shuffle, gen, split)."""
     return np.random.default_rng(sub_seed(seed, stream))
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file.
-
-    Blank lines and ``#`` comments are ignored. Keys mirror CLI flag names
-    with underscores (``d_model = 32``). Values stay as strings; the CLI
-    coerces them where flags would.
-    """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise DataError(f"{path}:{lineno}: empty key")
-            values[key] = value.strip()
-    return values
 
 
 def config_digest(values: dict[str, object]) -> str:

@@ -249,19 +249,17 @@ def read_corpus_tsv(path: str) -> list[LabeledSentence]:
                     )
                 header_done = True
                 continue
-            if len(cells) != len(_HEADER):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(_HEADER)} columns, got {len(cells)}"
-                )
+            if len(cells) != len(_HEADER):  # a line without a tab has no id column
+                where = f": sentence {cells[0]!r}" if len(cells) > 1 else ""
+                raise DataError(f"{path}:{line_no}{where}: expected {len(_HEADER)} "
+                                f"columns, got {len(cells)}")
             sent_id, category, label, text = cells
             if category not in CATEGORIES:
-                raise DataError(
-                    f"{path}:{line_no}: unknown category {category!r} (column 2)"
-                )
+                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
+                                f"unknown category {category!r} (column 2)")
             if label not in _LABELS:
-                raise DataError(
-                    f"{path}:{line_no}: unknown label {label!r} (column 3)"
-                )
+                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
+                                f"unknown label {label!r} (column 3)")
             if sent_id in seen:
                 raise DataError(f"{path}:{line_no}: duplicate id {sent_id!r}")
             seen.add(sent_id)

@@ -306,7 +306,7 @@ def read_trees(path: str) -> dict[str, ParseTree]:
             try:
                 out[sent_id] = parse_bracketed(text)
             except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
+                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: {exc}") from exc
     return out
 
 

@@ -7,6 +7,8 @@ shared across the file.
 
 import json
 import re
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -406,16 +408,44 @@ def test_holdout_words_tokenize_with_the_shared_vocabulary(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_config_file_supplies_defaults(tmp_path):
+@pytest.mark.parametrize("joined", [False, True], ids=["--config PATH", "--config=PATH"])
+def test_config_file_supplies_defaults(tmp_path, joined):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("# generator settings\npairs = 3\nseed = 9\ncategory = CIA\n",
                    encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    config = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+    assert main(["gen", *config, "--out", str(out)]) == 0
     lines = (out / "corpus.tsv").read_text(encoding="utf-8").splitlines()
     rows = [l for l in lines if l and not l.startswith(("#", "id\t"))]
     assert len(rows) == 6
     assert all(row.split("\t")[1] == "CIA" for row in rows)
+
+
+def test_config_file_supplies_a_required_path(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"out = {tmp_path / 'from_file'}\npairs = 1\n", encoding="utf-8")
+    assert main(["gen", "--config", str(cfg)]) == 0
+    assert main(["gen", "--pairs", "1", "--out", str(tmp_path / "from_flags")]) == 0
+    for name in ("corpus.tsv", "trees.tsv"):  # paths stay out of the digest
+        assert ((tmp_path / "from_file" / name).read_bytes()
+                == (tmp_path / "from_flags" / name).read_bytes())
+
+
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
+    # --config is read by one parser, so a prefix of it must not slip past the file
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pairs = 1\n", encoding="utf-8")
+    for flag, value in (("--conf", str(cfg)), ("--pair", "1")):
+        assert main(["gen", flag, value, "--out", str(tmp_path / "d")]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_bare_config_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "d"), "--config"]) == 1
+    assert "argument --config: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_flags_override_the_config_file(tmp_path):
@@ -428,6 +458,13 @@ def test_flags_override_the_config_file(tmp_path):
     assert len(rows) == 2
 
 
+# commands other than gen whose keys the cases below use; files are never read
+CONFIG_COMMANDS = {
+    "lr": ["train", "--corpus", "c.tsv"],
+    "rule": ["attribute", "--corpus", "c.tsv", "--weights", "w.bin"],
+}
+
+
 @pytest.mark.parametrize(
     "body,fragment",
     [
@@ -436,12 +473,15 @@ def test_flags_override_the_config_file(tmp_path):
         ("pairs = lots\n", "expected an integer"),
         ("category = NOPE\n", "not one of"),
         ("no equals sign\n", None),  # data error from the parser itself
+        ("lr = fast\n", "config key lr: expected a number, got 'fast'"),
+        ("rule = simpson\n", "config key rule: 'simpson' is not one of"),
     ],
 )
 def test_config_file_problems(tmp_path, capsys, body, fragment):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(body, encoding="utf-8")
-    code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    command = CONFIG_COMMANDS.get(body.partition("=")[0].strip(), ["gen"])
+    code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     if fragment is None:
         assert code == 2
@@ -449,6 +489,7 @@ def test_config_file_problems(tmp_path, capsys, body, fragment):
     else:
         assert code == 1
         assert fragment in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_flag_requires_a_command(capsys):
@@ -534,8 +575,9 @@ def test_over_deep_tree_is_a_data_error(tmp_path, capsys):
     code = main(["analyze", "--attributions", str(attributions), "--trees", str(trees),
                  "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"{trees}:1: tree nested deeper than {MAX_TREE_DEPTH} levels" in \
-        capsys.readouterr().err
+    assert (f"{trees}:1: sentence 'SVA-0000-LA': tree nested deeper than "
+            f"{MAX_TREE_DEPTH} levels at offset {3 * MAX_TREE_DEPTH}\n"
+            ) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -602,4 +644,67 @@ def test_out_of_range_record_writes_no_report(pipeline, tmp_path, capsys, comman
         assert code == 2
         assert f"{bad}:4: record {record['id']!r}: {problem}" in capsys.readouterr().err
     assert not fresh.exists()
+    assert _snapshot(kept) == before
+
+
+def _malformed_input(pipeline, tmp_path, fmt):
+    """One malformed value in a pipeline input of format ``fmt``.
+
+    Returns the bad file; the argv that reads it, ``--out`` left off; the
+    pipeline outputs that an earlier run of that command left behind; and
+    the expected error's line, sentence or record id, and problem."""
+    data, bad = pipeline["data"], tmp_path / f"bad_{fmt}"
+    if fmt == "config":
+        bad.write_text("seed = 3\npairs 3\n", encoding="utf-8")
+        return (bad, ["gen", "--config", str(bad)], [data],
+                2, None, "expected 'key = value', got 'pairs 3'")
+    if fmt == "weights":
+        blob = pipeline["weights"].read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + size])
+        header["tensors"][0]["shape"] = [-1]
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + size:])
+        return (bad, ["attribute", "--corpus", str(data / "corpus.tsv"),
+                      "--weights", str(bad), "--steps", "4"], [pipeline["attributions"]],
+                None, None, "tensor entry 0 is malformed")
+    source = {"corpus": data / "corpus.tsv", "trees": data / "trees.tsv",
+              "attributions": pipeline["attributions"]}[fmt]
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    if fmt == "corpus":
+        cells = lines[3].split("\t")
+        lines[3] = "\t".join([cells[0], "XYZ", *cells[2:]])
+        argv, earlier = (["train", "--corpus", str(bad), *TINY_TRAIN],
+                         [pipeline["weights"], pipeline["weights"].with_suffix(".bin.loss.csv")])
+        ident, problem = f"sentence {cells[0]!r}", "unknown category 'XYZ' (column 2)"
+    elif fmt == "trees":
+        sent_id, tree = lines[3].rstrip("\n").split("\t", 1)
+        lines[3] = f"{sent_id}\t{tree[:-1]}\n"
+        argv, earlier = (["analyze", "--attributions", str(pipeline["attributions"]),
+                          "--trees", str(bad)], [pipeline["out"]])
+        ident = f"sentence {sent_id!r}"
+        problem = f"unbalanced parentheses: unexpected end at offset {len(tree) - 1}"
+    else:
+        record = json.loads(lines[3])
+        lines[3] = json.dumps({**record, "prob": "high"}) + "\n"
+        argv, earlier = ["render", "--attributions", str(bad)], [pipeline["heatmaps"]]
+        ident, problem = f"record {record['id']!r}", "missing or malformed ['prob']"
+    bad.write_text("".join(lines), encoding="utf-8")
+    return bad, argv, earlier, 4, ident, problem
+
+
+@pytest.mark.parametrize("fmt", ["corpus", "trees", "attributions", "weights", "config"])
+def test_every_reader_names_the_file_line_and_id(pipeline, tmp_path, capsys, fmt):
+    bad, argv, earlier, line, ident, problem = _malformed_input(pipeline, tmp_path, fmt)
+    where = str(bad) + (f":{line}" if line else "") + (f": {ident}" if ident else "")
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    for path in earlier:  # an earlier run's output, to be left as it is
+        (shutil.copytree if path.is_dir() else shutil.copyfile)(path, kept / path.name)
+    before = _snapshot(kept)
+    for out in (fresh, kept):
+        assert main([*argv, "--out", str(out / earlier[0].name)]) == 2
+        assert f"data error: {where}: {problem}" in capsys.readouterr().err
+    assert _snapshot(fresh) == {}
     assert _snapshot(kept) == before

@@ -1,5 +1,7 @@
 """Synthetic pair generator, corpus TSV, and splitting."""
 
+import re
+
 import pytest
 
 from ligas.config import CATEGORIES
@@ -159,9 +161,12 @@ def test_corpus_tsv_accepts_numeric_labels_and_crlf(tmp_path):
     "body,message",
     [
         ("id\tcat\tlabel\tsentence\na\tCIA\tLA\thi .\n", "expected header"),
-        ("id\tcategory\tlabel\tsentence\na\tCIA\tLA\n", ":2: expected 4 columns, got 3"),
-        ("id\tcategory\tlabel\tsentence\na\tCIA\t2\thi .\n", ":2: unknown label '2'"),
-        ("id\tcategory\tlabel\tsentence\na\tXX\tLA\thi .\n", ":2: unknown category 'XX'"),
+        ("id\tcategory\tlabel\tsentence\na\tCIA\tLA\n",
+         "{path}:2: sentence 'a': expected 4 columns, got 3"),
+        ("id\tcategory\tlabel\tsentence\na\tCIA\t2\thi .\n",
+         "{path}:2: sentence 'a': unknown label '2' (column 3)"),
+        ("id\tcategory\tlabel\tsentence\na\tXX\tLA\thi .\n",
+         "{path}:2: sentence 'a': unknown category 'XX' (column 2)"),
         (
             "id\tcategory\tlabel\tsentence\na\tCIA\tLA\thi .\na\tCIA\tLUA\tbye .\n",
             ":3: duplicate id 'a'",
@@ -173,7 +178,7 @@ def test_corpus_tsv_accepts_numeric_labels_and_crlf(tmp_path):
 def test_corpus_tsv_errors_name_the_line(tmp_path, body, message):
     path = tmp_path / "bad.tsv"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=re.escape(message.format(path=path))):
         read_corpus_tsv(str(path))
 
 

@@ -5,6 +5,7 @@ The subtree oracles are tiny enough to hand-sum; scores use dyadic values
 child-sum identity is checked on arbitrary floats separately.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -428,7 +429,8 @@ def test_tree_file_rejects_missing_tab(tmp_path):
 def test_tree_file_reports_parse_errors_with_line(tmp_path):
     path = tmp_path / "broken.tsv"
     path.write_text("a\t(NN dog)\nb\t(NN dog\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r":2: unbalanced"):
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: sentence 'b': unbalanced parentheses: unexpected end at offset 7")):
         read_trees(str(path))
 
 
