@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import CATEGORIES, write_artifact
+from .config import CATEGORIES, read_lines, write_artifact
 from .errors import DataError, NumericError, UsageError
 from .model import (CLASSES, ModelWeights, Prediction, embed, logits_from_embeddings,
                     prediction_of)
@@ -336,56 +336,55 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
     header: dict = {}
     records: list[dict] = []
     ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{line_no}: expected a JSON object")
+        if "id" not in obj:
+            if line_no == 1:
+                header = obj
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{line_no}: expected a JSON object")
-            if "id" not in obj:
-                if line_no == 1:
-                    header = obj
-                    continue
-                raise DataError(f"{path}:{line_no}: record is missing 'id'")
-            words = obj.get("words")
-            bad = [k for k in ("id", "category", "gold", "predicted")
-                   if type(obj.get(k)) is not str]
-            bad += [k for k in ("prob", "sentence_ligas", "completeness_gap")
-                    if not _is_finite(obj.get(k))]
-            if type(words) is not list or not all(
-                    type(w) is dict and type(w.get("text")) is str
-                    and _is_finite(w.get("ligas")) for w in words):
-                bad.append("words")
-            if bad:
-                raise DataError(f"{path}:{line_no}: record {obj['id']!r}: missing or "
-                                f"malformed {bad} (want string ids and labels, finite "
-                                f"scores, and words as {{'text': string, 'ligas': number}} "
-                                f"objects)")
-            bad_values = [f"{k} {obj[k]!r} is not one of {allowed}"
-                          for k, allowed in (("category", CATEGORIES), ("gold", CLASSES),
-                                             ("predicted", CLASSES))
-                          if obj[k] not in allowed]
-            if not 0.0 <= obj["prob"] <= 1.0:
-                bad_values.append(f"prob {obj['prob']!r} is outside [0, 1]")
-            if obj["completeness_gap"] < 0:
-                bad_values.append(f"completeness_gap {obj['completeness_gap']!r} is negative")
-            # the writer stores the exact sum, and JSON round-trips floats
-            total = math.fsum(w["ligas"] for w in words)
-            if obj["sentence_ligas"] != total:
-                bad_values.append(f"sentence_ligas {obj['sentence_ligas']!r} is not the "
-                                  f"sum of its word scores, {total!r}")
-            if bad_values:
-                raise DataError(f"{path}:{line_no}: record {obj['id']!r}: "
-                                + "; ".join(bad_values))
-            if obj["id"] in ids:
-                raise DataError(f"{path}:{line_no}: duplicate record id {obj['id']!r}")
-            ids.add(obj["id"])
-            records.append(obj)
+            raise DataError(f"{path}:{line_no}: record is missing 'id'")
+        words = obj.get("words")
+        bad = [k for k in ("id", "category", "gold", "predicted")
+               if type(obj.get(k)) is not str]
+        bad += [k for k in ("prob", "sentence_ligas", "completeness_gap")
+                if not _is_finite(obj.get(k))]
+        if type(words) is not list or not all(
+                type(w) is dict and type(w.get("text")) is str
+                and _is_finite(w.get("ligas")) for w in words):
+            bad.append("words")
+        if bad:
+            raise DataError(f"{path}:{line_no}: record {obj['id']!r}: missing or "
+                            f"malformed {bad} (want string ids and labels, finite "
+                            f"scores, and words as {{'text': string, 'ligas': number}} "
+                            f"objects)")
+        bad_values = [f"{k} {obj[k]!r} is not one of {allowed}"
+                      for k, allowed in (("category", CATEGORIES), ("gold", CLASSES),
+                                         ("predicted", CLASSES))
+                      if obj[k] not in allowed]
+        if not 0.0 <= obj["prob"] <= 1.0:
+            bad_values.append(f"prob {obj['prob']!r} is outside [0, 1]")
+        if obj["completeness_gap"] < 0:
+            bad_values.append(f"completeness_gap {obj['completeness_gap']!r} is negative")
+        # the writer stores the exact sum, and JSON round-trips floats
+        total = math.fsum(w["ligas"] for w in words)
+        if obj["sentence_ligas"] != total:
+            bad_values.append(f"sentence_ligas {obj['sentence_ligas']!r} is not the "
+                              f"sum of its word scores, {total!r}")
+        if bad_values:
+            raise DataError(f"{path}:{line_no}: record {obj['id']!r}: "
+                            + "; ".join(bad_values))
+        if obj["id"] in ids:
+            raise DataError(f"{path}:{line_no}: duplicate record id {obj['id']!r}")
+        ids.add(obj["id"])
+        records.append(obj)
     if "records" in header and header["records"] != len(records):
         raise DataError(f"{path}: header declares {header['records']!r} records, "
                         f"the file holds {len(records)}")

@@ -6,8 +6,9 @@ comment/header line, so runs can be matched to their configuration.
 
 argparse alone reads the command line, and flags are spelled in full.
 ``--config FILE`` (or ``--config=FILE``) gives ``key = value`` lines that
-become the command's defaults, required paths included, each checked by its
-flag's type and choices; flags on the line win.
+become the command's defaults, required paths included. Each line is checked
+where it is read: a known key, set once, whose value its flag's type and
+choices accept; an error names the file and line. Flags on the line win.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 """
@@ -38,7 +39,7 @@ from .attribution import (
     read_attributions_jsonl,
     write_attributions_jsonl,
 )
-from .config import CATEGORIES, config_digest, write_artifact
+from .config import CATEGORIES, config_digest, read_lines, write_artifact
 from .corpus import (
     generate_all,
     generate_synthetic,
@@ -133,50 +134,42 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file.
+def _read_config_file(sub: _Parser, path: str) -> None:
+    """Make the ``key = value`` lines of ``path`` ``sub``'s defaults.
 
-    Blank lines and ``#`` comments are ignored. Keys mirror CLI flag names
-    with underscores (``d_model = 32``). Values stay as strings until
-    ``_apply_config_file`` checks them against their flags.
+    Blank lines and ``#`` comments are skipped. Keys mirror the flag names with
+    underscores (``d_model = 32``), and each may be set once. A value is coerced
+    and checked by its flag's own ``type`` and ``choices`` on the line where it
+    is read, so every error names the file and line. Flags given on the line
+    still win.
     """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise DataError(f"{path}:{lineno}: empty key")
-            values[key] = value.strip()
-    return values
-
-
-def _apply_config_file(sub: _Parser, values: dict[str, str]) -> None:
-    """Make the file's values ``sub``'s defaults, each coerced and checked by
-    its flag's own ``type`` and ``choices``; flags given on the line still win."""
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    unknown = [k for k in values if k not in actions]
-    if unknown:
-        raise UsageError(f"unknown config file keys: {', '.join(sorted(unknown))}")
-    defaults = {}
-    for key, raw in values.items():
+    first_line: dict[str, int] = {}
+    for lineno, text in read_lines(path):
+        line = text.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise DataError(f"{path}:{lineno}: empty key")
+        where = f"{path}:{lineno}: config key {key}"
+        if key not in actions:
+            raise UsageError(f"{where}: unknown to {sub.prog}")
+        if key in first_line:
+            raise UsageError(f"{where}: already set on line {first_line[key]}")
         action = actions[key]
         try:
             value = raw if action.type is None else action.type(raw)
         except ValueError:
             kind = "an integer" if action.type is int else "a number"
-            raise UsageError(f"config key {key}: expected {kind}, got {raw!r}")
+            raise UsageError(f"{where}: expected {kind}, got {raw!r}")
         if action.choices and value not in action.choices:
-            raise UsageError(
-                f"config key {key}: {raw!r} is not one of {sorted(action.choices)}")
-        defaults[key] = value
+            raise UsageError(f"{where}: {raw!r} is not one of {sorted(action.choices)}")
+        first_line[key] = lineno
         action.required = False
-    sub.set_defaults(**defaults)
+        sub.set_defaults(**{key: value})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         if config_path is not None:
             if argv[0] not in commands:
                 raise UsageError("--config requires a leading command")
-            _apply_config_file(commands[argv[0]], parse_config_file(config_path))
+            _read_config_file(commands[argv[0]], config_path)
         args = parser.parse_args(argv)
         handler = _HANDLERS[args.command]
         return handler(args)
@@ -324,13 +317,14 @@ def cmd_analyze(args) -> int:
     if args.trees is not None:  # checked before any report is written
         trees = read_trees(args.trees)
         for r in records:
-            tree = trees.get(r["id"])
-            if tree is None:
+            if r["id"] not in trees:
                 continue
+            line_no, tree = trees[r["id"]]
             try:
                 align(tree, [w["text"] for w in r["words"]])
             except DataError as exc:
-                raise DataError(f"{args.trees}: sentence {r['id']}: {exc}") from exc
+                raise DataError(f"{args.trees}:{line_no}: sentence {r['id']!r}: "
+                                f"{exc}") from exc
             matched.append((r, tree))
     os.makedirs(args.out, exist_ok=True)
 

@@ -1,4 +1,4 @@
-"""Reproducibility plumbing: seed sub-streams, settings digests, artifact writes.
+"""Reproducibility plumbing: seed sub-streams, settings digests, file reads and writes.
 
 All randomness in the pipeline flows from one 64-bit seed. Each consumer
 draws from a named sub-stream so that, say, adding an extra generator call
@@ -10,8 +10,11 @@ from __future__ import annotations
 import hashlib
 import os
 from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
+
+from .errors import DataError
 
 # the five sentence categories the pipeline analyzes
 CATEGORIES = ("CIA", "RAA", "SVA", "SVO", "WHE")
@@ -36,6 +39,22 @@ def config_digest(values: dict[str, object]) -> str:
     """
     canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` for each line of a UTF-8 file, ending included.
+
+    Lines end at LF, so a CRLF line keeps its CR for the reader to strip. Each
+    line is decoded on its own: a byte that is not UTF-8 is a data error on
+    the line that holds it.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: not UTF-8 at byte {exc.start}: "
+                                f"{exc.reason}") from None
 
 
 @contextmanager

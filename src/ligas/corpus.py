@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CATEGORIES, stream_rng, write_artifact
+from .config import CATEGORIES, read_lines, stream_rng, write_artifact
 from .errors import DataError
 from .tokenizer import split_words
 from .trees import ParseTree, align
@@ -235,35 +235,34 @@ def read_corpus_tsv(path: str) -> list[LabeledSentence]:
     sentences: list[LabeledSentence] = []
     seen: set[str] = set()
     header_done = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if not header_done:
-                if tuple(cells) != _HEADER:
-                    raise DataError(
-                        f"{path}:{line_no}: expected header "
-                        f"{chr(9).join(_HEADER)!r}, got {line!r}"
-                    )
-                header_done = True
-                continue
-            if len(cells) != len(_HEADER):  # a line without a tab has no id column
-                where = f": sentence {cells[0]!r}" if len(cells) > 1 else ""
-                raise DataError(f"{path}:{line_no}{where}: expected {len(_HEADER)} "
-                                f"columns, got {len(cells)}")
-            sent_id, category, label, text = cells
-            if category not in CATEGORIES:
-                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
-                                f"unknown category {category!r} (column 2)")
-            if label not in _LABELS:
-                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
-                                f"unknown label {label!r} (column 3)")
-            if sent_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate id {sent_id!r}")
-            seen.add(sent_id)
-            sentences.append(LabeledSentence(sent_id, category, _LABELS[label], text))
+    for line_no, raw in read_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if not header_done:
+            if tuple(cells) != _HEADER:
+                raise DataError(
+                    f"{path}:{line_no}: expected header "
+                    f"{chr(9).join(_HEADER)!r}, got {line!r}"
+                )
+            header_done = True
+            continue
+        if len(cells) != len(_HEADER):  # a line without a tab has no id column
+            where = f": sentence {cells[0]!r}" if len(cells) > 1 else ""
+            raise DataError(f"{path}:{line_no}{where}: expected {len(_HEADER)} "
+                            f"columns, got {len(cells)}")
+        sent_id, category, label, text = cells
+        if category not in CATEGORIES:
+            raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
+                            f"unknown category {category!r} (column 2)")
+        if label not in _LABELS:
+            raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: "
+                            f"unknown label {label!r} (column 3)")
+        if sent_id in seen:
+            raise DataError(f"{path}:{line_no}: duplicate id {sent_id!r}")
+        seen.add(sent_id)
+        sentences.append(LabeledSentence(sent_id, category, _LABELS[label], text))
     if not header_done:
         raise DataError(f"{path}: missing header line")
     return sentences

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .config import write_artifact
+from .config import read_lines, write_artifact
 from .errors import DataError
 
 Path = tuple[int, ...]
@@ -291,22 +291,22 @@ def write_trees(path: str, items: Iterable[tuple[str, ParseTree]],
             fh.write(f"{sent_id}\t{render_leafed(tree)}\n")
 
 
-def read_trees(path: str) -> dict[str, ParseTree]:
-    out: dict[str, ParseTree] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'id<TAB>tree'")
-            sent_id, text = line.split("\t", 1)
-            if sent_id in out:
-                raise DataError(f"{path}:{line_no}: duplicate tree id {sent_id!r}")
-            try:
-                out[sent_id] = parse_bracketed(text)
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: {exc}") from exc
+def read_trees(path: str) -> dict[str, tuple[int, ParseTree]]:
+    """Map each sentence id to its line in ``path`` and its tree."""
+    out: dict[str, tuple[int, ParseTree]] = {}
+    for line_no, raw in read_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{line_no}: expected 'id<TAB>tree'")
+        sent_id, text = line.split("\t", 1)
+        if sent_id in out:
+            raise DataError(f"{path}:{line_no}: duplicate tree id {sent_id!r}")
+        try:
+            out[sent_id] = line_no, parse_bracketed(text)
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: sentence {sent_id!r}: {exc}") from exc
     return out
 
 

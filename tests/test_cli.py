@@ -197,7 +197,7 @@ def test_subtree_ranks_match_the_per_path_oracle(pipeline):
     trees = read_trees(str(pipeline["data"] / "trees.tsv"))
     groups = {}
     for r in records:
-        tree = trees[r["id"]]
+        _, tree = trees[r["id"]]
         key = (r["category"], r["gold"], to_pattern(tree))
         groups.setdefault(key, (tree, []))[1].append([w["ligas"] for w in r["words"]])
     expected = []
@@ -458,36 +458,41 @@ def test_flags_override_the_config_file(tmp_path):
     assert len(rows) == 2
 
 
-# commands other than gen whose keys the cases below use; files are never read
+# commands other than gen whose keys the cases below use, with a valid line 1
+# for each; files are never read
 CONFIG_COMMANDS = {
-    "lr": ["train", "--corpus", "c.tsv"],
-    "rule": ["attribute", "--corpus", "c.tsv", "--weights", "w.bin"],
+    "lr": (["train", "--corpus", "c.tsv"], "epochs = 2\n"),
+    "rule": (["attribute", "--corpus", "c.tsv", "--weights", "w.bin"], "steps = 8\n"),
 }
 
 
 @pytest.mark.parametrize(
     "body,fragment",
     [
-        ("bogus = 1\n", "unknown config file keys: bogus"),
-        ("threads = 2\n", "unknown config file keys: threads"),
+        ("bogus = 1\n", "unknown to ligas gen"),
+        ("threads = 2\n", "unknown to ligas gen"),
         ("pairs = lots\n", "expected an integer"),
         ("category = NOPE\n", "not one of"),
         ("no equals sign\n", None),  # data error from the parser itself
         ("lr = fast\n", "config key lr: expected a number, got 'fast'"),
         ("rule = simpson\n", "config key rule: 'simpson' is not one of"),
+        ("seed = 2\n", "already set on line 1"),
     ],
 )
 def test_config_file_problems(tmp_path, capsys, body, fragment):
+    # the problem sits on line 2, after a line that is valid on its own
+    key = body.partition("=")[0].strip()
+    command, first = CONFIG_COMMANDS.get(key, (["gen"], "seed = 1\n"))
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(body, encoding="utf-8")
-    command = CONFIG_COMMANDS.get(body.partition("=")[0].strip(), ["gen"])
+    cfg.write_text(first + body, encoding="utf-8")
     code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     if fragment is None:
         assert code == 2
-        assert "expected 'key = value'" in err
+        assert f"data error: {cfg}:2: expected 'key = value', got 'no equals sign'" in err
     else:
         assert code == 1
+        assert f"usage error: {cfg}:2: config key {key}: " in err
         assert fragment in err
     assert not (tmp_path / "o").exists()
 
@@ -553,7 +558,9 @@ def test_analyze_rejects_misaligned_trees(pipeline, tmp_path, capsys):
     code = main(["analyze", "--attributions", str(pipeline["attributions"]),
                  "--trees", str(wrong), "--out", str(tmp_path / "wrong")])
     assert code == 2
-    assert f"{wrong}: sentence CIA-0000-LA:" in capsys.readouterr().err
+    line = next(i for i, l in enumerate(lines, 1) if l.startswith("CIA-0000-LA\t"))
+    assert (f"data error: {wrong}:{line}: sentence 'CIA-0000-LA': align: tree has 2 "
+            f"leaves but the sentence has 5 words\n") in capsys.readouterr().err
     assert not (tmp_path / "wrong" / "stats.csv").exists()
 
 
@@ -647,17 +654,17 @@ def test_out_of_range_record_writes_no_report(pipeline, tmp_path, capsys, comman
     assert _snapshot(kept) == before
 
 
-def _malformed_input(pipeline, tmp_path, fmt):
-    """One malformed value in a pipeline input of format ``fmt``.
+def _malformed_input(pipeline, tmp_path, case):
+    """One malformed value in a pipeline input, ``case`` being its format and,
+    after a dash, an optional flaw: ``value`` for a config value,
+    ``alignment`` for a tree that does not match its record's words, ``utf8``
+    for a sound line with one byte that is not UTF-8 in it.
 
     Returns the bad file; the argv that reads it, ``--out`` left off; the
     pipeline outputs that an earlier run of that command left behind; and
-    the expected error's line, sentence or record id, and problem."""
-    data, bad = pipeline["data"], tmp_path / f"bad_{fmt}"
-    if fmt == "config":
-        bad.write_text("seed = 3\npairs 3\n", encoding="utf-8")
-        return (bad, ["gen", "--config", str(bad)], [data],
-                2, None, "expected 'key = value', got 'pairs 3'")
+    the expected error's kind, line, sentence or record id, and problem."""
+    data, bad = pipeline["data"], tmp_path / f"bad_{case}"
+    fmt, _, flaw = case.partition("-")
     if fmt == "weights":
         blob = pipeline["weights"].read_bytes()
         (size,) = struct.unpack("<Q", blob[8:16])
@@ -667,11 +674,25 @@ def _malformed_input(pipeline, tmp_path, fmt):
         bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + size:])
         return (bad, ["attribute", "--corpus", str(data / "corpus.tsv"),
                       "--weights", str(bad), "--steps", "4"], [pipeline["attributions"]],
-                None, None, "tensor entry 0 is malformed")
-    source = {"corpus": data / "corpus.tsv", "trees": data / "trees.tsv",
-              "attributions": pipeline["attributions"]}[fmt]
-    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
-    if fmt == "corpus":
+                "data error", None, None, "tensor entry 0 is malformed")
+    if fmt == "config":
+        lines = ["seed = 3\n", "pairs = 3\n"]
+    else:
+        source = {"corpus": data / "corpus.tsv", "trees": data / "trees.tsv",
+                  "attributions": pipeline["attributions"]}[fmt]
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = 1 if fmt == "config" else 3
+    sound, error, ident = lines[row], "data error", None
+    if fmt == "config":
+        argv, earlier = ["gen", "--config", str(bad)], [data]
+        if flaw == "value":
+            lines[1] = "pairs = lots\n"
+            error, ident = "usage error", "config key pairs"
+            problem = "expected an integer, got 'lots'"
+        else:
+            lines[1] = "pairs 3\n"
+            problem = "expected 'key = value', got 'pairs 3'"
+    elif fmt == "corpus":
         cells = lines[3].split("\t")
         lines[3] = "\t".join([cells[0], "XYZ", *cells[2:]])
         argv, earlier = (["train", "--corpus", str(bad), *TINY_TRAIN],
@@ -679,23 +700,37 @@ def _malformed_input(pipeline, tmp_path, fmt):
         ident, problem = f"sentence {cells[0]!r}", "unknown category 'XYZ' (column 2)"
     elif fmt == "trees":
         sent_id, tree = lines[3].rstrip("\n").split("\t", 1)
-        lines[3] = f"{sent_id}\t{tree[:-1]}\n"
         argv, earlier = (["analyze", "--attributions", str(pipeline["attributions"]),
                           "--trees", str(bad)], [pipeline["out"]])
         ident = f"sentence {sent_id!r}"
-        problem = f"unbalanced parentheses: unexpected end at offset {len(tree) - 1}"
+        if flaw == "alignment":
+            lines[3] = f"{sent_id}\t(S (NN nobody) (VBD moved))\n"
+            words = len(read_trees(str(source))[sent_id][1].leaves())
+            problem = f"align: tree has 2 leaves but the sentence has {words} words"
+        else:
+            lines[3] = f"{sent_id}\t{tree[:-1]}\n"
+            problem = f"unbalanced parentheses: unexpected end at offset {len(tree) - 1}"
     else:
         record = json.loads(lines[3])
         lines[3] = json.dumps({**record, "prob": "high"}) + "\n"
         argv, earlier = ["render", "--attributions", str(bad)], [pipeline["heatmaps"]]
         ident, problem = f"record {record['id']!r}", "missing or malformed ['prob']"
-    bad.write_text("".join(lines), encoding="utf-8")
-    return bad, argv, earlier, 4, ident, problem
+    if flaw == "utf8":  # the sound line instead, with byte 0xff before its newline
+        lines[row] = sound[:-1] + "\udcff\n"
+        offset = len(sound.encode("utf-8")) - 1
+        ident, problem = None, f"not UTF-8 at byte {offset}: invalid start byte"
+    bad.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    return bad, argv, earlier, error, row + 1, ident, problem
 
 
-@pytest.mark.parametrize("fmt", ["corpus", "trees", "attributions", "weights", "config"])
-def test_every_reader_names_the_file_line_and_id(pipeline, tmp_path, capsys, fmt):
-    bad, argv, earlier, line, ident, problem = _malformed_input(pipeline, tmp_path, fmt)
+@pytest.mark.parametrize("case", [
+    "corpus", "trees", "attributions", "weights", "config",
+    "config-value", "trees-alignment",
+    "corpus-utf8", "trees-utf8", "attributions-utf8", "config-utf8",
+])
+def test_every_reader_names_the_file_line_and_id(pipeline, tmp_path, capsys, case):
+    bad, argv, earlier, error, line, ident, problem = _malformed_input(pipeline, tmp_path,
+                                                                       case)
     where = str(bad) + (f":{line}" if line else "") + (f": {ident}" if ident else "")
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     fresh.mkdir()
@@ -704,7 +739,8 @@ def test_every_reader_names_the_file_line_and_id(pipeline, tmp_path, capsys, fmt
         (shutil.copytree if path.is_dir() else shutil.copyfile)(path, kept / path.name)
     before = _snapshot(kept)
     for out in (fresh, kept):
-        assert main([*argv, "--out", str(out / earlier[0].name)]) == 2
-        assert f"data error: {where}: {problem}" in capsys.readouterr().err
+        assert main([*argv, "--out", str(out / earlier[0].name)]) == (
+            1 if error == "usage error" else 2)
+        assert f"{error}: {where}: {problem}" in capsys.readouterr().err
     assert _snapshot(fresh) == {}
     assert _snapshot(kept) == before

@@ -409,7 +409,7 @@ def test_tree_file_round_trip(tmp_path):
     assert text.startswith("# round trip check\n")
     assert "CIA-0000-LA\t(ROOT (S" in text
     got = read_trees(str(path))
-    assert got == dict(items)
+    assert got == {sent_id: (line, tree) for line, (sent_id, tree) in enumerate(items, 2)}
 
 
 def test_tree_file_rejects_duplicate_ids(tmp_path):
