@@ -100,16 +100,21 @@ def format_pct(value: float | None) -> str:
 
 def mean_abs_ligas_by_gold(records: Iterable[tuple[str, float]]) -> dict[str, float | None]:
     """Mean |sentence_ligas| per gold label, for the LA/LUA magnitude
-    comparison reported alongside the stats."""
+    comparison reported alongside the stats. A label whose total is out of
+    float range is a data error."""
     sums = {label: [] for label in CLASSES}
     for gold, ligas in records:
         if gold not in CLASSES:
             raise DataError(f"unknown gold label {gold!r}")
         sums[gold].append(abs(ligas))
-    return {
-        label: (math.fsum(vals) / len(vals) if vals else None)
-        for label, vals in sums.items()
-    }
+    means: dict[str, float | None] = {}
+    for label, vals in sums.items():
+        try:
+            means[label] = math.fsum(vals) / len(vals) if vals else None
+        except OverflowError:  # no partial sum of non-negative values exceeds the total
+            raise DataError(f"gold label {label}: total |sentence_ligas| is out of "
+                            f"float range") from None
+    return means
 
 
 def write_stats_csv(path: str, stats: list[CategoryStats],

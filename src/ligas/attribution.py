@@ -35,6 +35,7 @@ from .errors import DataError, NumericError, UsageError
 from .model import (CLASSES, ModelWeights, Prediction, embed, logits_from_embeddings,
                     prediction_of)
 from .tokenizer import PAD_ID, TokenizedSentence
+from .trees import exact_fsum
 
 RULES = ("left", "right", "trapezoid")
 TARGET_SPACES = ("logit", "probability")
@@ -317,8 +318,11 @@ def write_attributions_jsonl(path: str, records: Iterable[dict],
             fh.write(json.dumps(record) + "\n")
 
 
-def _is_finite(value) -> bool:  # a finite JSON number; bool is not one here
-    return type(value) in (int, float) and math.isfinite(value)
+def _is_finite(value) -> bool:  # a JSON number a float can hold; bool is not one here
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
@@ -328,10 +332,11 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
     a list of ``{"text", "ligas"}`` words. Its category must be one of
     ``CATEGORIES``, its gold and predicted labels ``CLASSES``, its prob
     must lie in [0, 1], its completeness gap must not be negative, and its
-    ``sentence_ligas`` must be the exact sum of its word scores, so a
-    command that reads the file fails before it writes anything. A header
-    that declares a ``records`` count must match the records read, so a
-    file cut short at a line boundary is rejected.
+    ``sentence_ligas`` must be the correctly rounded sum of its word scores,
+    which must fit in a float, so a command that reads the file fails
+    before it writes anything. A header that declares a ``records`` count
+    must match the records read, so a file cut short at a line boundary is
+    rejected.
     """
     header: dict = {}
     records: list[dict] = []
@@ -374,10 +379,14 @@ def read_attributions_jsonl(path: str) -> tuple[dict, list[dict]]:
         if obj["completeness_gap"] < 0:
             bad_values.append(f"completeness_gap {obj['completeness_gap']!r} is negative")
         # the writer stores the exact sum, and JSON round-trips floats
-        total = math.fsum(w["ligas"] for w in words)
-        if obj["sentence_ligas"] != total:
-            bad_values.append(f"sentence_ligas {obj['sentence_ligas']!r} is not the "
-                              f"sum of its word scores, {total!r}")
+        try:
+            total = exact_fsum([w["ligas"] for w in words])
+        except OverflowError:
+            bad_values.append("word scores do not sum to a finite float")
+        else:
+            if obj["sentence_ligas"] != total:
+                bad_values.append(f"sentence_ligas {obj['sentence_ligas']!r} is not the "
+                                  f"sum of its word scores, {total!r}")
         if bad_values:
             raise DataError(f"{path}:{line_no}: record {obj['id']!r}: "
                             + "; ".join(bad_values))

@@ -204,13 +204,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _tokenize_within(sentence, vocab, max_seq_len: int, corpus_path: str):
-    """Tokenize one corpus sentence, rejecting it by id when the encoder
-    cannot take that many tokens."""
+    """Tokenize one corpus sentence, rejecting it by corpus line and id when
+    the encoder cannot take that many tokens."""
     tokenized = tokenize(sentence.text, vocab)
     n = len(tokenized.token_ids)
     if n > max_seq_len:
-        raise DataError(f"{corpus_path}: sentence {sentence.id}: {n} tokens "
-                        f"exceed max_seq_len {max_seq_len}")
+        raise DataError(f"{corpus_path}:{sentence.line}: sentence {sentence.id!r}: "
+                        f"{n} tokens exceed max_seq_len {max_seq_len}")
     return tokenized
 
 
@@ -326,22 +326,32 @@ def cmd_analyze(args) -> int:
                 raise DataError(f"{args.trees}:{line_no}: sentence {r['id']!r}: "
                                 f"{exc}") from exc
             matched.append((r, tree))
+
+    # every report is computed before any is written: a group total out of
+    # float range is a data error that leaves no reports behind
+    try:
+        stats = sign_stats(
+            (r["category"], outcome(r["predicted"], r["gold"]), r["sentence_ligas"])
+            for r in records
+        )
+        mean_abs = mean_abs_ligas_by_gold((r["gold"], r["sentence_ligas"]) for r in records)
+        cc_rows, mc_rows = scatter_tables(
+            (r["prob"], r["sentence_ligas"], outcome(r["predicted"], r["gold"]))
+            for r in records
+        )
+        rows = mine_patterns(
+            (tree, r["category"], r["gold"], r["sentence_ligas"],
+             [w["ligas"] for w in r["words"]])
+            for r, tree in matched
+        )
+    except DataError as exc:
+        raise DataError(f"{args.attributions}: {exc}") from exc
+
     os.makedirs(args.out, exist_ok=True)
-
-    stats = sign_stats(
-        (r["category"], outcome(r["predicted"], r["gold"]), r["sentence_ligas"])
-        for r in records
-    )
-    mean_abs = mean_abs_ligas_by_gold((r["gold"], r["sentence_ligas"]) for r in records)
     write_stats_csv(os.path.join(args.out, "stats.csv"), stats, mean_abs, comment)
-
-    cc_rows, mc_rows = scatter_tables(
-        (r["prob"], r["sentence_ligas"], outcome(r["predicted"], r["gold"]))
-        for r in records
-    )
-    for name, rows, color in (("cc", cc_rows, "#2f7d32"), ("mc", mc_rows, "#c62828")):
-        write_scatter_csv(os.path.join(args.out, f"scatter_{name}.csv"), rows, comment)
-        svg = render_scatter_svg(rows, f"{name.upper()} sentences", color)
+    for name, table, color in (("cc", cc_rows, "#2f7d32"), ("mc", mc_rows, "#c62828")):
+        write_scatter_csv(os.path.join(args.out, f"scatter_{name}.csv"), table, comment)
+        svg = render_scatter_svg(table, f"{name.upper()} sentences", color)
         with write_artifact(os.path.join(args.out, f"scatter_{name}.svg")) as fh:
             fh.write(f"<!-- {comment} -->\n")
             fh.write(svg)
@@ -356,10 +366,6 @@ def cmd_analyze(args) -> int:
         print(f"warning: {skipped} sentence(s) have no tree; "
               f"skipped in pattern reports", file=sys.stderr)
 
-    rows = mine_patterns(
-        (tree, r["category"], r["gold"], r["sentence_ligas"], [w["ligas"] for w in r["words"]])
-        for r, tree in matched
-    )
     write_patterns_csv(os.path.join(args.out, "patterns.csv"), rows, comment)
     with write_artifact(os.path.join(args.out, "subtree_ranks.csv"), comment) as fh:
         fh.write("category,label,pattern,count,subtree_path,subtree,ligas\n")

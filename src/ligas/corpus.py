@@ -14,7 +14,7 @@ scrambled order, illicitly retained object).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import CATEGORIES, read_lines, stream_rng, write_artifact
 from .errors import DataError
@@ -30,6 +30,7 @@ class LabeledSentence:
     gold: str
     text: str
     tree: ParseTree | None = None
+    line: int | None = field(default=None, compare=False)  # its line in the corpus file
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -262,7 +263,8 @@ def read_corpus_tsv(path: str) -> list[LabeledSentence]:
         if sent_id in seen:
             raise DataError(f"{path}:{line_no}: duplicate id {sent_id!r}")
         seen.add(sent_id)
-        sentences.append(LabeledSentence(sent_id, category, _LABELS[label], text))
+        sentences.append(LabeledSentence(sent_id, category, _LABELS[label], text,
+                                         line=line_no))
     if not header_done:
         raise DataError(f"{path}: missing header line")
     return sentences

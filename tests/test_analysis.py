@@ -1,6 +1,7 @@
 """Sign statistics, percentage rendering, scatter export, and heatmaps."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,13 @@ def test_mean_abs_by_gold():
     assert mean_abs_ligas_by_gold([("LA", 1.0)])["LUA"] is None
     with pytest.raises(DataError, match="unknown gold label"):
         mean_abs_ligas_by_gold([("good", 1.0)])
+
+
+def test_mean_abs_by_gold_rejects_a_total_out_of_float_range():
+    # each mean would fit, but the label's total does not
+    with pytest.raises(DataError, match=re.escape(
+            "gold label LUA: total |sentence_ligas| is out of float range")):
+        mean_abs_ligas_by_gold([("LA", 1.0), ("LUA", 1e308), ("LUA", -1e308)])
 
 
 # ---------------------------------------------------------------------------

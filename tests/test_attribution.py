@@ -607,6 +607,8 @@ GOOD_RECORD = {
     ({"words": [{"text": "the"}]}, ["words"]),
     ({"words": [{"text": "the", "ligas": float("nan")}]}, ["words"]),
     ({"gold": None, "prob": None}, ["gold", "prob"]),
+    ({"words": [{"text": "the", "ligas": 10 ** 400}]}, ["words"]),
+    ({"prob": -10 ** 400}, ["prob"]),
 ])
 def test_jsonl_rejects_malformed_fields(tmp_path, change, bad):
     path = tmp_path / "bad.jsonl"
@@ -643,6 +645,10 @@ def test_jsonl_rejects_duplicate_ids(tmp_path):
     ({"sentence_ligas": 5.0, "completeness_gap": -1.0},
      "completeness_gap -1.0 is negative; sentence_ligas 5.0 is not the sum of its "
      "word scores, 0.5"),
+    ({"words": [{"text": w, "ligas": 1e308} for w in ("a", "b")], "sentence_ligas": 1e308},
+     "word scores do not sum to a finite float"),
+    ({"words": [{"text": w, "ligas": -1.7e308} for w in ("a", "b")], "prob": 2.0},
+     "prob 2.0 is outside [0, 1]; word scores do not sum to a finite float"),
 ])
 def test_jsonl_rejects_out_of_range_values(tmp_path, change, problem):
     path = tmp_path / "bad.jsonl"
@@ -661,6 +667,10 @@ def test_jsonl_accepts_exact_totals(tmp_path):
         {**GOOD_RECORD, "id": "fsum", "sentence_ligas": 1.0,
          "words": [{"text": w, "ligas": v} for w, v in (("a", 1e16), ("b", 1), ("c", -1e16))]},
         {**GOOD_RECORD, "id": "empty", "sentence_ligas": 0, "words": []},
+        # a partial sum overflows, but the exact total fits
+        {**GOOD_RECORD, "id": "partial-overflow", "sentence_ligas": 1e308,
+         "words": [{"text": w, "ligas": v} for w, v in (("a", 1e308), ("b", 1e308),
+                                                         ("c", -1e308))]},
     ]
     write_attributions_jsonl(str(path), records)
     assert read_attributions_jsonl(str(path)) == ({}, records)

@@ -6,6 +6,7 @@ shared across the file.
 """
 
 import json
+import math
 import re
 import shutil
 import struct
@@ -342,30 +343,32 @@ def test_over_length_sentence_in_attribute_names_it(pipeline, tmp_path, capsys,
                         lambda *args: calls.append(args) or real(*args))
     corpus = tmp_path / "long.tsv"
     # valid pipeline sentences first: the whole corpus is checked before any is attributed
-    corpus.write_text((pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
-                      + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
+    text = (pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
+    corpus.write_text(text + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
                       encoding="utf-8")
+    line = text.count("\n") + 1
     code = main(["attribute", "--corpus", str(corpus),
                  "--weights", str(pipeline["weights"]), "--steps", "4",
                  "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
     assert calls == []
     err = capsys.readouterr().err
-    assert f"{corpus}: sentence SVA-9999-LA: " in err
+    assert f"{corpus}:{line}: sentence 'SVA-9999-LA': " in err
     assert "exceed max_seq_len 16" in err
     assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_over_length_sentence_in_train_names_it(pipeline, tmp_path, capsys):
     corpus = tmp_path / "long.tsv"
-    corpus.write_text((pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
-                      + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
+    text = (pipeline["data"] / "corpus.tsv").read_text(encoding="utf-8")
+    corpus.write_text(text + "SVA-9999-LA\tSVA\tLA\t" + "the dog barks " * 8 + ".\n",
                       encoding="utf-8")
+    line = text.count("\n") + 1
     code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "w.bin"),
                  *TINY_TRAIN])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{corpus}: sentence SVA-9999-LA: " in err
+    assert f"{corpus}:{line}: sentence 'SVA-9999-LA': " in err
     assert "exceed max_seq_len 16" in err
     assert not (tmp_path / "w.bin").exists()
 
@@ -610,6 +613,50 @@ def test_malformed_record_is_a_data_error(pipeline, tmp_path, capsys, command, f
     assert code == 2
     message = f"{bad}:2: record {record['id']!r}: missing or malformed ['{field}']"
     assert message in capsys.readouterr().err
+
+
+def _overflow_inputs(tmp_path, word_scores):
+    """Two SVA records sharing the tree ``(S (NN a) (VB b))``, each scored
+    ``word_scores``, and a trees file for them."""
+    records = [{"id": f"SVA-000{i}-LA", "category": "SVA", "gold": "LA", "predicted": "LA",
+                "prob": 0.75, "sentence_ligas": math.fsum(word_scores),
+                "completeness_gap": 0.0,
+                "words": [{"text": t, "ligas": v} for t, v in zip("ab", word_scores)]}
+               for i in range(2)]
+    attributions = tmp_path / "huge.jsonl"
+    attributions.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    trees = tmp_path / "huge_trees.tsv"
+    trees.write_text("".join(f"{r['id']}\t(S (NN a) (VB b))\n" for r in records),
+                     encoding="utf-8")
+    return attributions, trees
+
+
+def test_word_scores_out_of_float_range_are_a_data_error(tmp_path, capsys):
+    attributions, _ = _overflow_inputs(tmp_path, [1.0, 2.0])
+    lines = attributions.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["words"] = [{"text": w, "ligas": 1e308} for w in ("a", "b")]
+    lines[1] = json.dumps(record)
+    attributions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "heatmaps.html"
+    code = main(["render", "--attributions", str(attributions), "--ids", "all",
+                 "--out", str(out)])
+    assert code == 2
+    assert (f"data error: {attributions}:2: record 'SVA-0001-LA': word scores do not sum "
+            f"to a finite float\n") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_pattern_group_out_of_float_range_is_a_data_error(tmp_path, capsys):
+    # each record sums to 0.0, but the two NN scores sum past the float range
+    attributions, trees = _overflow_inputs(tmp_path, [1e308, -1e308])
+    out = tmp_path / "reports"
+    code = main(["analyze", "--attributions", str(attributions), "--trees", str(trees),
+                 "--out", str(out)])
+    assert code == 2
+    assert (f"data error: {attributions}: pattern group (SVA, LA, (S(NN)(VB))): LIGAS "
+            f"total is out of float range\n") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _snapshot(path):

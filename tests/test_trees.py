@@ -2,14 +2,19 @@
 
 The subtree oracles are tiny enough to hand-sum; scores use dyadic values
 (0.5, 1.5, -0.25) so the float comparisons are exact, and the rational
-child-sum identity is checked on arbitrary floats separately.
+child-sum identity is checked on arbitrary floats separately. Two slower
+reference implementations stand beside the fast ones: ``parse_oracle``
+tokenizes with ``re.finditer``, and ``rank_oracle`` sums ``Fraction``s path
+by path.
 """
 
+import math
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ligas.errors import DataError
@@ -17,6 +22,7 @@ from ligas.trees import (
     MAX_TREE_DEPTH,
     ParseTree,
     align,
+    exact_fsum,
     mine_patterns,
     parse_bracketed,
     rank_subtrees,
@@ -45,6 +51,14 @@ def test_parse_leafed_tree():
     s = tree.children[0]
     assert [c.label for c in s.children] == ["NP", "VP", "."]
     assert s.children[0].children[0].leaf_word == "the"
+
+
+def test_parsed_trees_are_frozen():
+    tree = parse_bracketed(LEAFED)
+    with pytest.raises(FrozenInstanceError):
+        tree.label = "S"
+    with pytest.raises(FrozenInstanceError):
+        tree.children[0].children[0].leaf_word = "a"
 
 
 def test_parse_pattern_tree_has_wordless_leaves():
@@ -140,6 +154,106 @@ def test_serialization_round_trips(tree):
     pattern = to_pattern(tree)
     assert " " not in pattern
     assert to_pattern(parse_bracketed(pattern)) == pattern
+
+
+_ORACLE_TOKEN = re.compile(r"[()]|[^\s()]+")  # a bracket, or a label or word
+
+
+def parse_oracle(text: str) -> ParseTree:
+    """The ``re.finditer`` parser ``parse_bracketed`` replaced: the same loop,
+    with each token's offset read from its match."""
+    if not text.strip():
+        raise DataError("empty tree text")
+    open_nodes: list[list] = []
+    root = None
+    want_label = False
+    for match in _ORACLE_TOKEN.finditer(text):
+        token, pos = match.group(), match.start()
+        if root is not None:
+            raise DataError(f"trailing characters after tree at offset {pos}")
+        if want_label:
+            if token in ("(", ")"):
+                raise DataError(f"expected a label or word at offset {pos}")
+            open_nodes.append([token, [], None])
+            want_label = False
+        elif not open_nodes and token != "(":
+            raise DataError(f"expected '(' at offset {pos}")
+        elif token == "(":
+            if open_nodes and open_nodes[-1][2] is not None:
+                raise DataError(
+                    f"node {open_nodes[-1][0]}: subtree after leaf word at offset {pos}"
+                )
+            if len(open_nodes) == MAX_TREE_DEPTH:
+                raise DataError(
+                    f"tree nested deeper than {MAX_TREE_DEPTH} levels at offset {pos}"
+                )
+            want_label = True
+        elif token == ")":
+            label, children, word = open_nodes.pop()
+            node = ParseTree(label, tuple(children), word)
+            if open_nodes:
+                open_nodes[-1][1].append(node)
+            else:
+                root = node
+        else:
+            label, children, word = open_nodes[-1]
+            if children:
+                raise DataError(f"node {label}: word after subtrees at offset {pos}")
+            if word is not None:
+                raise DataError(f"node {label}: second leaf word at offset {pos}")
+            open_nodes[-1][2] = token
+    if want_label:
+        raise DataError(f"expected a label or word at offset {len(text)}")
+    if root is None:
+        raise DataError(f"unbalanced parentheses: unexpected end at offset {len(text)}")
+    return root
+
+
+def assert_parses_like_the_oracle(text):
+    """The same tree, with the same hash as the dataclass constructor gives
+    it, or a ``DataError`` with the same text and offset."""
+    try:
+        expected = parse_oracle(text)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            parse_bracketed(text)
+        assert str(got.value) == str(exc)
+    else:
+        tree = parse_bracketed(text)
+        assert tree == expected
+        assert hash(tree) == hash(expected)
+
+
+# whitespace to str.split and re's \s alike (NBSP, the \x1c-\x1f separators,
+# NEL, U+2028, the ideographic space), and a zero-width space that is neither
+SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\x1c", "\x1f", "\x85",
+          "\u2028", "\u3000", "\u200b"]
+PIECES = st.sampled_from(["(", ")", "(", ")", "S", "NP", "dog", "é", *SPACES])
+
+
+@given(text=st.lists(PIECES, max_size=30).map("".join))
+@example(text=nested(MAX_TREE_DEPTH + 1))
+@example(text="(S\xa0(NN\u2028dog)\x1c)")
+@example(text="(S (NN dog))\u200b")
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_oracle_on_random_text(text):
+    assert_parses_like_the_oracle(text)
+
+
+@given(tree=trees(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_oracle_on_edited_trees(tree, data):
+    text = data.draw(st.sampled_from([render_leafed(tree), to_pattern(tree)]))
+    at = data.draw(st.integers(0, len(text)))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    piece = data.draw(PIECES)
+    if edit == "insert":
+        text = text[:at] + piece + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    else:
+        text = text[:at] + piece + text[at + 1:]
+    assert_parses_like_the_oracle(text)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +355,102 @@ def test_subtree_scores_come_in_walk_order_with_node_patterns(tree):
     assert [s.fragment for s in scores] == [to_pattern(node) for _, node in nodes]
 
 
+def float_or_overflow(value):
+    """``float(value)``, or ``OverflowError`` when it is out of float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return OverflowError
+
+
+# subnormals, signed zeros, and values near the float limit whose partial
+# sums overflow while the exact totals stay finite
+EXTREME_ROWS = [
+    [5e-324, 5e-324, -5e-324, 5e-324],
+    [2.225073858507201e-308, -5e-324, 5e-324, 5e-324],
+    [0.0, -0.0, -0.0, 0.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [1.7e308, 1.7e308, -1.7e308, -1.7e308],
+    [1.7e308, -1.7e308, 1.7e308, -1.6e308],
+    [-1.7e308, -1.7e308, 1.7e308, 5e-324],
+    [1.7976931348623157e308, 5e-324, -1.7976931348623157e308, 1.0],
+]
+PAIRS = "(ROOT (L (A a) (B b)) (R (C c) (D d)))"
+
+
+@pytest.mark.parametrize("values", EXTREME_ROWS)
+def test_scaled_sums_match_the_fraction_oracle(values):
+    scores = subtree_scores(parse_bracketed(PAIRS), values)
+    exact = [Fraction(v) for v in values]
+    by_path = {s.path: s for s in scores}
+    leaves_under = {(): exact, (0,): exact[:2], (1,): exact[2:],
+                    (0, 0): exact[:1], (0, 1): exact[1:2], (1, 0): exact[2:3], (1, 1): exact[3:]}
+    for path, parts in leaves_under.items():
+        total = sum(parts, Fraction(0))
+        assert by_path[path].ligas_exact == total
+        assert float_or_overflow(by_path[path].ligas_exact) == float_or_overflow(total)
+        try:
+            ligas = by_path[path].ligas
+        except OverflowError:
+            ligas = OverflowError
+        assert ligas == float_or_overflow(total)
+    # the root is the whole row's correctly rounded sum
+    assert by_path[()].ligas == exact_fsum(values) == float(sum(exact, Fraction(0)))
+
+
+def test_negative_zero_scores_read_as_positive_zero():
+    scores = subtree_scores(parse_bracketed("(S (NN x))"), [-0.0])
+    assert [math.copysign(1.0, s.ligas) for s in scores] == [1.0, 1.0]
+    assert [s.ligas_exact for s in scores] == [0, 0]
+
+
+def test_a_node_out_of_float_range_stays_exact():
+    scores = subtree_scores(parse_bracketed(PAIRS), [1.7e308, 1.7e308, -1.7e308, -1.7e308])
+    left = scores[1]
+    assert left.path == (0,)
+    assert left.ligas_exact == 2 * Fraction(1.7e308)
+    with pytest.raises(OverflowError):
+        left.ligas
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(1, 1 << 1075)])
+def test_scores_that_are_no_multiple_of_the_smallest_subnormal_are_refused(value):
+    with pytest.raises(ValueError, match="is not an integer multiple of 2\\*\\*-1074"):
+        subtree_scores(parse_bracketed("(S (NN x))"), [value])
+
+
+@pytest.mark.parametrize("values,total", [
+    ([1e308, 1e308, -1e308], 1e308),           # math.fsum overflows on a partial sum
+    ([1.7e308, 1.7e308, -1.7e308, -1.6e308], float(Fraction(1.7e308) - Fraction(1.6e308))),
+    ([5e-324, 5e-324], 1e-323),
+    ([0.1, 0.2, 0.3], math.fsum([0.1, 0.2, 0.3])),
+    ([], 0.0),
+])
+def test_exact_fsum_is_the_correctly_rounded_total(values, total):
+    assert exact_fsum(values) == total
+
+
+def test_exact_fsum_overflows_only_when_the_total_does():
+    with pytest.raises(OverflowError):
+        exact_fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_fsum([-1.7e308, -1.7e308, 1e308])
+
+
+FULL_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 0.0, -0.0, 1.7e308, -1.7e308, 1.7976931348623157e308])
+
+
+@given(values=st.lists(FULL_FLOATS, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_exact_fsum_matches_the_fraction_oracle(values):
+    try:
+        got = exact_fsum(values)
+    except OverflowError:
+        got = OverflowError
+    assert got == float_or_overflow(sum(map(Fraction, values), Fraction(0)))
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -327,6 +537,28 @@ def test_rank_matches_the_per_path_oracle(tree, data):
     assert best.ligas == float(best.ligas_exact)
 
 
+@given(tree=trees(), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_matches_the_per_path_oracle_on_full_range_floats(tree, data):
+    n = tree.leaf_count()
+    rows = data.draw(st.lists(st.lists(FULL_FLOATS, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    best = rank_subtrees(tree, rows)
+    assert (best.path, best.fragment, best.ligas_exact) == rank_oracle(tree, rows)
+    try:
+        ligas = best.ligas
+    except OverflowError:
+        ligas = OverflowError
+    assert ligas == float_or_overflow(best.ligas_exact)
+
+
+@pytest.mark.parametrize("rows", [EXTREME_ROWS[:4], EXTREME_ROWS[4:], EXTREME_ROWS])
+def test_rank_matches_the_per_path_oracle_on_extreme_values(rows):
+    tree = parse_bracketed(PAIRS)
+    best = rank_subtrees(tree, rows)
+    assert (best.path, best.fragment, best.ligas_exact) == rank_oracle(tree, rows)
+
+
 # ---------------------------------------------------------------------------
 # pattern mining
 # ---------------------------------------------------------------------------
@@ -391,6 +623,27 @@ def test_mine_patterns_rejects_word_scores_that_do_not_fit_the_tree():
 
 def test_mine_patterns_empty_input():
     assert mine_patterns([]) == []
+
+
+@pytest.mark.parametrize("records", [
+    # the group's summed sentence LIGAS overflows
+    [(1e308, [1e308, 0.0]), (1e308, [0.0, 1e308])],
+    # the sentence totals cancel, but the best subtree's total overflows
+    [(0.0, [1e308, -1e308]), (0.0, [1e308, -1e308])],
+], ids=["sentence-total", "best-subtree"])
+def test_mine_patterns_names_a_group_out_of_float_range(records):
+    tree = parse_bracketed("(S (NN x) (VB y))")
+    with pytest.raises(DataError, match=re.escape(
+            "pattern group (CIA, LA, (S(NN)(VB))): LIGAS total is out of float range")):
+        mine_patterns([(tree, "CIA", "LA", ligas, words) for ligas, words in records])
+
+
+def test_mine_patterns_sums_past_a_partial_overflow():
+    tree = parse_bracketed("(S (NN x) (VB y))")
+    records = [(tree, "CIA", "LA", v, [v, 0.0]) for v in (1.7e308, 1.7e308, -1.7e308)]
+    [row] = mine_patterns(records)
+    assert row.ligas == 1.7e308
+    assert (row.best.path, row.best.ligas) == ((0,), 1.7e308)
 
 
 # ---------------------------------------------------------------------------
