@@ -141,19 +141,15 @@ def _path_inputs(x: np.ndarray, baseline: np.ndarray,
                  points: list[tuple[float, float]]) -> tuple[list[float], list[np.ndarray]]:
     """The alphas and arrays F is evaluated at along the straight path.
 
-    First each rule point in step order, the alpha = 1 point being ``x``
-    itself; then ``x`` and ``baseline`` where the rule leaves them out, so
-    that F(x) and F(x') can be read from the evaluations.
+    Every rule point and both endpoints, by alpha from 1 down to 0: ``x``
+    itself comes first and ``baseline`` itself last, so F(x) and F(x') are
+    the first and last evaluations.
     """
     if x.shape != baseline.shape:
         raise DataError(f"input shape {x.shape} != baseline shape {baseline.shape}")
     diff = x - baseline
-    alphas = [alpha for alpha, _ in points]
-    inputs = [x if alpha == 1.0 else baseline + alpha * diff for alpha in alphas]
-    for alpha, endpoint in ((1.0, x), (0.0, baseline)):
-        if alpha not in alphas:
-            alphas.append(alpha)
-            inputs.append(endpoint)
+    alphas = sorted({alpha for alpha, _ in points} | {0.0, 1.0}, reverse=True)
+    inputs = [x] + [baseline + alpha * diff for alpha in alphas[1:-1]] + [baseline]
     return alphas, inputs
 
 
@@ -162,16 +158,16 @@ def _integrate(x: np.ndarray, baseline: np.ndarray, points: list[tuple[float, fl
     """Reduce the weighted gradients in step order into attributions.
 
     ``values`` and ``grads`` hold F and its gradient at each of ``alphas``
-    (from :func:`_path_inputs`), whatever order they were computed in.
+    (from :func:`_path_inputs`), in that order.
     """
+    row = {alpha: i for i, alpha in enumerate(alphas)}
     acc = np.zeros_like(x)
-    for k, (_, w) in enumerate(points):
-        g = grads[k]
+    for k, (alpha, w) in enumerate(points):
+        g = grads[row[alpha]]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at interpolation step {k}")
         acc += w * g
-    return PathIntegral((x - baseline) * acc, float(values[alphas.index(1.0)]),
-                        float(values[alphas.index(0.0)]))
+    return PathIntegral((x - baseline) * acc, float(values[0]), float(values[-1]))
 
 
 def path_integral(f: ValueAndGrad, x: np.ndarray, baseline: np.ndarray,
@@ -234,9 +230,9 @@ def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
                          cfg: IGConfig) -> SentenceAttribution:
     """Attribute one tokenized sentence at the embedding layer.
 
-    The path points are stacked and evaluated ``CHUNK_ROWS`` at a time, one
-    forward and one backward per chunk. The chunk holding x goes first: the
-    prediction, and so the default target class, is read from its x row.
+    The path points are stacked from x down to x' and evaluated
+    ``CHUNK_ROWS`` at a time, one forward and one backward per chunk. The
+    prediction, and so the default target class, is read from row 0, x itself.
     """
     ids = list(sentence.token_ids)
     x = embed(weights, ids).data
@@ -246,17 +242,13 @@ def integrated_gradients(weights: ModelWeights, sentence: TokenizedSentence,
     stack = np.stack(inputs)
     values = np.empty(len(stack))
     grads = np.empty_like(stack)
-    at_x = alphas.index(1.0)
-    first = at_x - at_x % CHUNK_ROWS
-    starts = [first] + [lo for lo in range(0, len(stack), CHUNK_ROWS) if lo != first]
-    prediction = None
-    for lo in starts:
+    for lo in range(0, len(stack), CHUNK_ROWS):
         hi = lo + CHUNK_ROWS
         e = Tensor(stack[lo:hi], requires_grad=True)
         logits = logits_from_embeddings(weights, e)
         probs = ad.softmax(logits, axis=-1)
-        if prediction is None:
-            prediction = prediction_of(logits.data[at_x - lo], probs.data[at_x - lo])
+        if lo == 0:
+            prediction = prediction_of(logits.data[0], probs.data[0])
             target_class = cfg.target_class or prediction.predicted_class
             target = CLASSES.index(target_class)
         source = probs if cfg.target_space == "probability" else logits

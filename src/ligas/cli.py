@@ -327,18 +327,15 @@ def cmd_analyze(args) -> int:
                                 f"{exc}") from exc
             matched.append((r, tree))
 
-    # every report is computed before any is written: a group total out of
-    # float range is a data error that leaves no reports behind
+    outcomes = [outcome(r["predicted"], r["gold"]) for r in records]
+    stats = sign_stats((r["category"], out, r["sentence_ligas"])
+                       for r, out in zip(records, outcomes))
+    cc_rows, mc_rows = scatter_tables((r["prob"], r["sentence_ligas"], out)
+                                      for r, out in zip(records, outcomes))
+    # every report is computed before any is written: a label or group total
+    # out of float range is a data error that leaves no reports behind
     try:
-        stats = sign_stats(
-            (r["category"], outcome(r["predicted"], r["gold"]), r["sentence_ligas"])
-            for r in records
-        )
         mean_abs = mean_abs_ligas_by_gold((r["gold"], r["sentence_ligas"]) for r in records)
-        cc_rows, mc_rows = scatter_tables(
-            (r["prob"], r["sentence_ligas"], outcome(r["predicted"], r["gold"]))
-            for r in records
-        )
         rows = mine_patterns(
             (tree, r["category"], r["gold"], r["sentence_ligas"],
              [w["ligas"] for w in r["words"]])

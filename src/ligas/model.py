@@ -496,7 +496,7 @@ def load_weights(path: str) -> ModelWeights:
                             f"'name', a 'shape' list of non-negative integers and a "
                             f"non-negative integer 'offset'")
         name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         end = start + count * 8
         if end > len(payload):
             raise DataError(f"{path}: tensor {name} overruns the payload")
@@ -507,6 +507,9 @@ def load_weights(path: str) -> ModelWeights:
     if vocab is not None:
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
             raise DataError(f"{path}: malformed header: 'vocab' is not a list of strings")
+        if len(vocab) > cfg.vocab_size:
+            raise DataError(f"{path}: vocabulary has {len(vocab)} tokens but the "
+                            f"embedding table has {cfg.vocab_size} rows")
         vocab = Vocabulary(vocab)
     try:
         return ModelWeights(cfg, arrays, vocab)

@@ -172,11 +172,11 @@ def to_pattern(tree: ParseTree) -> str:
     return f"({tree.label}{''.join([to_pattern(c) for c in tree.children])})"
 
 
-def align(tree: ParseTree, words: list[str]) -> list[int]:
+def align(tree: ParseTree, words: list[str]) -> None:
     """Check the tree's leaves against the sentence words (case-folded).
 
-    Returns the identity leaf→word mapping; any mismatch is a data error,
-    since a silent misalignment would corrupt every downstream sum.
+    Any mismatch is a data error, since a silent misalignment would corrupt
+    every downstream sum.
     """
     leaves = tree.leaves()
     if None in leaves:
@@ -191,7 +191,6 @@ def align(tree: ParseTree, words: list[str]) -> list[int]:
             raise DataError(
                 f"align: leaf {i} is {leaf!r} but the sentence word is {word!r}"
             )
-    return list(range(len(words)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,27 @@ are observable without subprocess overhead; one tiny end-to-end pipeline is
 shared across the file.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import ligas.cli
 from ligas.attribution import read_attributions_jsonl
 from ligas.cli import main
-from ligas.trees import MAX_TREE_DEPTH, read_trees, to_pattern
+from ligas.config import CATEGORIES
+from ligas.model import CLASSES
+from ligas.trees import MAX_TREE_DEPTH, exact_fsum, read_trees, to_pattern
 from test_trees import nested, rank_oracle
 
 TINY_TRAIN = [
@@ -599,20 +607,90 @@ def test_tree_at_the_depth_limit_is_analyzed(tmp_path):
     assert ranks.splitlines()[-1].startswith("SVA,LA,(A(A(A")
 
 
-@pytest.mark.parametrize("command,field,value", [
-    ("render", "words", 5),
-    ("analyze", "prob", "high"),
+_BAD_VALUES = [
+    ("category", "XYZ", f"category 'XYZ' is not one of {CATEGORIES}"),
+    ("gold", "good", f"gold 'good' is not one of {CLASSES}"),
+    ("predicted", "la", f"predicted 'la' is not one of {CLASSES}"),
+    ("prob", 1.5, "prob 1.5 is outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command,field,value,message", [
+    pytest.param("render", "words", 5, "missing or malformed ['words']",
+                 id="render-words-5"),
+    pytest.param("analyze", "prob", "high", "missing or malformed ['prob']",
+                 id="analyze-prob-high"),
+] + [
+    pytest.param(command, field, value, message, id=f"{command}-{field}-{value}")
+    for command in ("analyze", "render") for field, value, message in _BAD_VALUES
 ])
-def test_malformed_record_is_a_data_error(pipeline, tmp_path, capsys, command, field, value):
+def test_malformed_record_is_a_data_error(pipeline, tmp_path, capsys, command, field,
+                                          value, message):
     lines = pipeline["attributions"].read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
     lines[1] = json.dumps({**record, field: value})
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = main([command, "--attributions", str(bad), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([command, "--attributions", str(bad), "--out", str(out)])
     assert code == 2
-    message = f"{bad}:2: record {record['id']!r}: missing or malformed ['{field}']"
-    assert message in capsys.readouterr().err
+    assert f"{bad}:2: record {record['id']!r}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SCORES = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+
+
+@st.composite
+def _accepted_records(draw):
+    """Records the attribution reader accepts, with scores up to +-1e308."""
+    records = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        words = draw(st.lists(st.tuples(st.text("ab<&\"\u00e9", min_size=1, max_size=3),
+                                        _SCORES), max_size=4))
+        try:
+            total = exact_fsum([v for _, v in words])
+        except OverflowError:  # the reader rejects a record whose words overflow
+            reject()
+        records.append({
+            "id": f"r{i}", "category": draw(st.sampled_from(CATEGORIES)),
+            "gold": draw(st.sampled_from(CLASSES)),
+            "predicted": draw(st.sampled_from(CLASSES)),
+            "prob": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "sentence_ligas": total,
+            "completeness_gap": draw(st.floats(min_value=0.0, max_value=1e308)),
+            "words": [{"text": t, "ligas": v} for t, v in words],
+        })
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_accepted_records(), with_trees=st.booleans())
+def test_accepted_records_never_end_in_a_traceback(records, with_trees):
+    # analyze and render either succeed or name a data error; a per-label or
+    # per-pattern total out of float range is the one error a run can reach
+    with tempfile.TemporaryDirectory() as root:
+        attributions = os.path.join(root, "attr.jsonl")
+        with open(attributions, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        read_attributions_jsonl(attributions)  # accepted
+        analyze = ["analyze", "--attributions", attributions,
+                   "--out", os.path.join(root, "out")]
+        if with_trees:
+            trees = os.path.join(root, "trees.tsv")
+            with open(trees, "w", encoding="utf-8") as fh:
+                for r in records:
+                    if r["words"]:
+                        leaves = " ".join(f"(W {w['text']})" for w in r["words"])
+                        fh.write(f"{r['id']}\t(S {leaves})\n")
+            analyze += ["--trees", trees]
+        for argv in (analyze, ["render", "--attributions", attributions,
+                               "--out", os.path.join(root, "heatmaps.html")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 0 or (code == 2 and err.getvalue().startswith("data error:")), \
+                (argv[0], code, err.getvalue())
 
 
 def _overflow_inputs(tmp_path, word_scores):

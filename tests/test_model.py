@@ -495,6 +495,23 @@ def test_load_rejects_bad_header_values(tmp_path, edit, fragment):
         load_weights(path)
 
 
+@pytest.mark.parametrize("side", [4294967296, 3037000500])
+def test_load_rejects_a_shape_whose_size_overflows_int64(tmp_path, side):
+    # side * side wraps to 0 (or a negative count) in int64 arithmetic
+    path = _with_edited_header(tmp_path, lambda h: h["tensors"][0].update(shape=[side, side]))
+    with pytest.raises(DataError, match=rf"{re.escape(path)}: tensor tok_emb overruns"):
+        load_weights(path)
+
+
+def test_load_rejects_a_vocabulary_longer_than_the_embedding_table(tmp_path):
+    def grow(header):
+        header["vocab"] += [f"extra{i}" for i in range(SMALL.vocab_size + 1)]
+    path = _with_edited_header(tmp_path, grow)
+    with pytest.raises(DataError, match=rf"{re.escape(path)}: vocabulary has \d+ tokens but "
+                                        rf"the embedding table has {SMALL.vocab_size} rows"):
+        load_weights(path)
+
+
 def test_weights_container_validates_shapes():
     weights = init(SMALL)
     arrays = {n: a.copy() for n, a in weights.arrays.items()}

@@ -7,6 +7,7 @@ The tracer also wraps every backward rule as ``autodiff._bind`` records
 it, so a traced forward/backward must give the untraced gradient.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -34,6 +35,21 @@ def test_every_traced_function_exists():
     missing = [f"ligas.{m}.{fn}" for m, fn in names
                if not callable(getattr(importlib.import_module(f"ligas.{m}"), fn, None))]
     assert names and missing == []
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # perfbench's workloads import ligas names inside functions, so a deleted
+    # or renamed name would fail only the benchmark run
+    imported, missing = [], []
+    for script in ("workloads.py", "run.py"):
+        tree = ast.parse((SPANS_PATH.parent / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ligas":
+                module = importlib.import_module(node.module)
+                imported += [f"{node.module}.{a.name}" for a in node.names]
+                missing += [f"{node.module}.{a.name}" for a in node.names
+                            if not hasattr(module, a.name)]
+    assert "ligas.model.forward_from_embeddings" in imported and missing == []
 
 
 def test_traced_hooks_exist():
