@@ -172,13 +172,16 @@ def render_scatter_svg(rows: list[tuple[float, float]], title: str,
             lo, hi = lo - 1.0, hi + 1.0
     else:
         lo, hi = -1.0, 1.0
+    scale = 1.0
+    if not math.isfinite(hi - lo):  # a range wider than float range: halving
+        scale, lo, hi = 0.5, lo * 0.5, hi * 0.5  # is exact for normal floats
     span = (hi - lo) or 1.0  # a flat value of 2**53 or more does not move by 1
 
     def sx(p: float) -> float:
         return margin + p * (width - 2 * margin)
 
     def sy(l: float) -> float:
-        return height - margin - (l - lo) / span * (height - 2 * margin)
+        return height - margin - (l * scale - lo) / span * (height - 2 * margin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -6,6 +6,8 @@ causative-inchoative alternation (CIA), reflexive-antecedent agreement
 wh-extraction (WHE) — each with a gold constituency tree built from a
 fixed template, so the whole pipeline (tokenize, train, attribute, mine
 patterns) runs at desk scale on data whose tree shapes are known a priori.
+A generated sentence is its tree's leaves joined by single spaces, so the
+text and the tree agree word for word by construction.
 
 Minimal-pair discipline: the SVA and RAA members of a pair differ in a
 single word; the other categories differ structurally (dropped object,
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import CATEGORIES, read_lines, stream_rng, write_artifact
-from .errors import DataError
+from .errors import DataError, UsageError
 from .tokenizer import split_words
-from .trees import ParseTree, align
+from .trees import ParseTree
 from .model import CLASSES, LA, LUA
 
 
@@ -83,7 +85,7 @@ def _pick_two(rng, options):
     return options[first], options[second]
 
 
-def _cia_pair(rng) -> tuple[tuple[str, ParseTree], tuple[str, ParseTree]]:
+def _cia_pair(rng) -> tuple[ParseTree, ParseTree]:
     name = _pick(rng, NAMES)
     verb = _pick(rng, CIA_VERBS)
     obj = _pick(rng, NOUNS)
@@ -97,7 +99,7 @@ def _cia_pair(rng) -> tuple[tuple[str, ParseTree], tuple[str, ParseTree]]:
                              _t("NP", _w("DT", "the"), _w("NN", obj)),
                              _t("VP", _w("VBD", verb)),
                              _w(".", ".")))
-    return (f"{name} {verb} the {obj} .", la_tree), (f"the {obj} {verb} .", lua_tree)
+    return la_tree, lua_tree
 
 
 def _raa_pair(rng):
@@ -113,8 +115,7 @@ def _raa_pair(rng):
                                 _t("NP", _w("PRP", refl))),
                              _w(".", ".")))
 
-    return ((f"{pron} {verb} {reflexive} .", tree(reflexive)),
-            (f"{pron} {verb} {wrong_reflexive} .", tree(wrong_reflexive)))
+    return tree(reflexive), tree(wrong_reflexive)
 
 
 def _sva_pair(rng, plural: bool):
@@ -133,8 +134,7 @@ def _sva_pair(rng, plural: bool):
                              _t("VP", _w(tag, verb), _t("ADVP", _w("RB", adv))),
                              _w(".", ".")))
 
-    return ((f"the {noun} {good} {adv} .", tree(good, good_tag)),
-            (f"the {noun} {bad} {adv} .", tree(bad, bad_tag)))
+    return tree(good, good_tag), tree(bad, bad_tag)
 
 
 def _svo_pair(rng):
@@ -152,8 +152,7 @@ def _svo_pair(rng):
                                 _t("NP", _w("DT", "the"), _w("NN", subj))),
                              _t("VP", _w("VBD", verb)),
                              _w(".", ".")))
-    return ((f"the {subj} {verb} the {obj} .", la_tree),
-            (f"{obj} the {subj} {verb} .", lua_tree))
+    return la_tree, lua_tree
 
 
 def _whe_pair(rng):
@@ -172,17 +171,16 @@ def _whe_pair(rng):
                                 _t("VP", *vp)),
                              _w(".", "?")))
 
-    return ((f"what did {name} {verb} ?", tree(False)),
-            (f"what did {name} {verb} the {obj} ?", tree(True)))
+    return tree(False), tree(True)
 
 
 def generate_synthetic(category: str, n_pairs: int, seed: int) -> list[LabeledSentence]:
     """``2 * n_pairs`` sentences for one category, LA/LUA paired, with gold
     trees; fully determined by (category, n_pairs, seed)."""
     if category not in CATEGORIES:
-        raise DataError(f"unknown category {category!r}; expected one of {CATEGORIES}")
+        raise UsageError(f"unknown category {category!r}; expected one of {CATEGORIES}")
     if n_pairs < 1:
-        raise DataError(f"n_pairs must be >= 1, got {n_pairs}")
+        raise UsageError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = stream_rng(seed, f"gen:{category}")
     out: list[LabeledSentence] = []
     for k in range(n_pairs):
@@ -196,16 +194,14 @@ def generate_synthetic(category: str, n_pairs: int, seed: int) -> list[LabeledSe
             la, lua = _svo_pair(rng)
         else:
             la, lua = _whe_pair(rng)
-        for gold, (text, tree) in ((LA, la), (LUA, lua)):
-            sent = LabeledSentence(
+        for gold, tree in ((LA, la), (LUA, lua)):
+            out.append(LabeledSentence(
                 id=f"{category}-{k:04d}-{gold}",
                 category=category,
                 gold=gold,
-                text=text,
+                text=" ".join(tree.leaves()),
                 tree=tree,
-            )
-            align(tree, sent.words)  # templates must stay self-consistent
-            out.append(sent)
+            ))
     return out
 
 

@@ -291,6 +291,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.epochs <= 0 or self.batch <= 0:
             raise UsageError("lr, epochs and batch must all be positive")
+        if not math.isfinite(self.lr):
+            raise UsageError(f"lr must be finite, got {self.lr!r}")
 
 
 @dataclass

@@ -8,6 +8,10 @@ Two serializations are used throughout:
 A *pattern* identifies the label-isomorphism class of a tree; two sentences
 share a pattern iff their trees are equal after dropping the leaf words.
 
+``ParseTree(label, children, leaf_word)`` is the one node constructor: the
+parser, the generator and the tests all build nodes through it, and it
+rejects a node with both children and a leaf word.
+
 Subtree scores are summed exactly, so that every node's score is
 *identically* the sum of its children's. Every finite float is an integer
 multiple of 2**-1074, so each word score is scaled by 2**1074 to a Python
@@ -38,20 +42,20 @@ _SCALE_BITS = 1074  # every finite float is an integer multiple of 2**-1074
 _ONE = 1 << _SCALE_BITS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParseTree:
     label: str
-    children: tuple["ParseTree", ...] = ()
-    leaf_word: str | None = None
+    children: tuple["ParseTree", ...]
+    leaf_word: str | None
 
-    def __post_init__(self):
-        if self.children and self.leaf_word is not None:
-            raise DataError(f"node {self.label}: has both children and a leaf word")
-
-    @property
-    def is_leaf_slot(self) -> bool:
-        """True for the nodes that carry (or stand for) one sentence word."""
-        return not self.children
+    def __init__(self, label: str, children: tuple["ParseTree", ...] = (),
+                 leaf_word: str | None = None):
+        if children and leaf_word is not None:
+            raise DataError(f"node {label}: has both children and a leaf word")
+        # each slot's own setter, which the frozen __setattr__ does not guard
+        _SET_LABEL(self, label)
+        _SET_CHILDREN(self, children)
+        _SET_LEAF_WORD(self, leaf_word)
 
     def leaves(self) -> list[str | None]:
         """Leaf words in order; ``None`` for wordless pattern leaves."""
@@ -70,6 +74,11 @@ class ParseTree:
         yield path, self
         for i, child in enumerate(self.children):
             yield from child.walk(path + (i,))
+
+
+_SET_LABEL = ParseTree.label.__set__
+_SET_CHILDREN = ParseTree.children.__set__
+_SET_LEAF_WORD = ParseTree.leaf_word.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +121,7 @@ def parse_bracketed(text: str) -> ParseTree:
             want_label = True
         elif token == ")":
             label, children, word = open_nodes.pop()
-            node = _parsed_node(label, tuple(children), word)
+            node = ParseTree(label, tuple(children), word)
             if open_nodes:
                 open_nodes[-1][1].append(node)
             else:
@@ -131,24 +140,6 @@ def parse_bracketed(text: str) -> ParseTree:
     if root is None:
         raise DataError(f"unbalanced parentheses: unexpected end at offset {len(text)}")
     return root
-
-
-# each slot's own setter, which a frozen dataclass's __setattr__ does not guard
-_SET_LABEL = ParseTree.label.__set__
-_SET_CHILDREN = ParseTree.children.__set__
-_SET_LEAF_WORD = ParseTree.leaf_word.__set__
-
-
-def _parsed_node(label: str, children: tuple[ParseTree, ...], word: str | None) -> ParseTree:
-    """``ParseTree(label, children, word)`` at about half the cost. The
-    parser's own checks already reject what ``__post_init__`` would, so the
-    slots are filled directly, past the frozen dataclass's ``__init__``;
-    equality and hashing are the dataclass's."""
-    node = object.__new__(ParseTree)
-    _SET_LABEL(node, label)
-    _SET_CHILDREN(node, children)
-    _SET_LEAF_WORD(node, word)
-    return node
 
 
 def _offset(text: str, index: int) -> int:
@@ -258,7 +249,7 @@ def _scaled_scores(tree: ParseTree, leaf_totals: list[int]) -> list[SubtreeScore
     def visit(node: ParseTree, path: Path) -> SubtreeScore:
         slot = len(out)
         out.append(None)  # reserved, so a node precedes its children
-        if node.is_leaf_slot:
+        if not node.children:
             fragment, total = f"({node.label})", next(words)
         else:
             kids = [visit(child, path + (i,)) for i, child in enumerate(node.children)]

@@ -249,6 +249,25 @@ def test_scatter_svg_degenerate_inputs():
     assert "nan" not in huge
 
 
+def test_scatter_svg_range_wider_than_float_range():
+    # 1e308 - -1e308 overflows; the positions come from halved values
+    svg = render_scatter_svg([(0.5, 1e308), (0.5, -1e308)], "wide")
+    assert "nan" not in svg and "inf" not in svg
+    assert 'cy="48.0"' in svg and 'cy="432.0"' in svg
+    assert 'y1="240.0"' in svg and 'y2="240.0"' in svg  # the zero line
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6))
+def test_scatter_svg_positions_on_a_finite_span(values):
+    lo, hi = min(values), max(values)
+    if lo == hi or not math.isfinite(hi - lo):
+        return
+    svg = render_scatter_svg([(0.5, v) for v in values], "t")
+    expected = [repr(480 - 48 - (v - lo) / (hi - lo) * (480 - 2 * 48)) for v in values]
+    assert re.findall(r'cy="([^"]*)"', svg) == expected
+
+
 # ---------------------------------------------------------------------------
 # heatmaps
 # ---------------------------------------------------------------------------

@@ -282,6 +282,24 @@ def test_zero_steps_is_a_usage_error(pipeline, tmp_path, capsys):
     assert "steps must be >= 1" in capsys.readouterr().err
 
 
+def test_zero_pairs_is_a_usage_error(tmp_path, capsys):
+    assert main(["gen", "--pairs", "0", "--out", str(tmp_path / "d")]) == 1
+    assert "usage error: n_pairs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lr_is_a_usage_error(pipeline, tmp_path, capsys, value):
+    corpus, weights = str(pipeline["data"] / "corpus.tsv"), str(tmp_path / "w.bin")
+    cfg = tmp_path / "lr.cfg"
+    cfg.write_text(f"lr = {value}\n", encoding="utf-8")
+    for argv in (["train", "--corpus", corpus, "--out", weights, *TINY_TRAIN, "--lr", value],
+                 ["train", "--config", str(cfg), "--corpus", corpus, "--out", weights]):
+        assert main(argv) == 1
+        assert f"usage error: lr must be finite, got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_bad_choice_is_a_usage_error(tmp_path, capsys):
     assert main(["gen", "--category", "NOPE", "--out", str(tmp_path)]) == 1
     assert "invalid choice" in capsys.readouterr().err

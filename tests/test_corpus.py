@@ -13,7 +13,7 @@ from ligas.corpus import (
     split,
     write_corpus_tsv,
 )
-from ligas.errors import DataError
+from ligas.errors import DataError, UsageError
 from ligas.trees import parse_bracketed, to_pattern
 
 # canonical tree shapes the five templates must emit, keyed by
@@ -68,10 +68,27 @@ def test_generate_all_covers_the_categories_in_order():
 
 
 def test_generator_rejects_bad_arguments():
-    with pytest.raises(DataError, match="unknown category"):
+    with pytest.raises(UsageError, match="unknown category"):
         generate_synthetic("XYZ", 1, seed=0)
-    with pytest.raises(DataError, match="n_pairs"):
+    with pytest.raises(UsageError, match="n_pairs"):
         generate_synthetic("CIA", 0, seed=0)
+
+
+# (LA, LUA) texts of one pair at seed 0; SVA pair 1 is the plural template
+PINNED_PAIRS = {
+    ("CIA", 0): ("lee hit the glass .", "the glass hit ."),
+    ("RAA", 0): ("we admired ourselves .", "we admired yourself ."),
+    ("SVA", 0): ("the vase sleeps happily .", "the vase sleep happily ."),
+    ("SVA", 1): ("the boys sing slowly .", "the boys sings slowly ."),
+    ("SVO", 0): ("the book chased the mouse .", "mouse the book chased ."),
+    ("WHE", 0): ("what did sam read ?", "what did sam read the cake ?"),
+}
+
+
+@pytest.mark.parametrize("category,pair", sorted(PINNED_PAIRS))
+def test_generated_texts_are_pinned(category, pair):
+    corpus = generate_synthetic(category, 2, seed=0)
+    assert (corpus[2 * pair].text, corpus[2 * pair + 1].text) == PINNED_PAIRS[category, pair]
 
 
 def word_diff(a, b):
@@ -103,7 +120,8 @@ def test_svo_pair_scrambles_the_order():
 
 
 def test_every_generated_tree_matches_its_template_pattern():
-    corpus = generate_all(n_pairs=6, seed=2)
+    corpus = [s for n_pairs, seed in [(1, 0), (6, 2), (13, 5), (40, 11)]
+              for s in generate_all(n_pairs=n_pairs, seed=seed)]
     for s in corpus:
         assert s.tree is not None
         assert s.tree.leaves() == [w.lower() for w in s.words]

@@ -414,6 +414,12 @@ def test_training_rejects_out_of_range_ids_before_the_first_step(bad_id, monkeyp
         train(init(SMALL), corpus, TrainConfig(epochs=1, batch=2, seed=0))
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_train_config_rejects_a_non_finite_lr(lr):
+    with pytest.raises(UsageError, match=f"lr must be finite, got {lr!r}"):
+        TrainConfig(lr=lr)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_is_a_numeric_error():
     # layer norm squashes most blow-ups; only a step near the float ceiling
@@ -439,7 +445,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     # a second save of the loaded weights is byte-identical
     path2 = str(tmp_path / "w2.bin")
     save_weights(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert (tmp_path / "w.bin").read_bytes() == (tmp_path / "w2.bin").read_bytes()
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -131,6 +131,16 @@ def test_node_cannot_mix_children_and_word():
         ParseTree("NP", (ParseTree("DT", (), "the"),), "dog")
 
 
+def test_constructed_and_parsed_trees_are_equal_and_hash_equal():
+    built = ParseTree("S", (ParseTree("NP", (ParseTree("NN", (), "alice"),)),
+                            ParseTree("VP", (ParseTree("VBD", leaf_word="slept"),)),
+                            ParseTree(".", (), ".")))
+    parsed = parse_bracketed("(S (NP (NN alice)) (VP (VBD slept)) (. .))")
+    assert built == parsed and hash(built) == hash(parsed)
+    bare = ParseTree("S", (ParseTree("NN"), ParseTree("VBD")))
+    assert bare == parse_bracketed("(S(NN)(VBD))") and bare.leaves() == [None, None]
+
+
 LABELS = st.sampled_from(["S", "NP", "VP", "NN", "DT", "VBD", "."])
 WORDS = st.sampled_from(["the", "dog", "ran", "big", "alice", "?"])
 
@@ -150,7 +160,8 @@ def trees(max_leaves=6):
 @given(tree=trees())
 @settings(max_examples=120, deadline=None)
 def test_serialization_round_trips(tree):
-    assert parse_bracketed(render_leafed(tree)) == tree
+    parsed = parse_bracketed(render_leafed(tree))
+    assert parsed == tree and hash(parsed) == hash(tree)
     pattern = to_pattern(tree)
     assert " " not in pattern
     assert to_pattern(parse_bracketed(pattern)) == pattern
